@@ -624,13 +624,60 @@ func benchRecordPlaneRouting(b *testing.B) {
 	b.StopTimer()
 }
 
+// benchRecordPlaneEngine drives a chain of concurrent box engines at W=4 and
+// B=8, closed by a sink box like the routing shape: every box consumes its
+// input and emits a fresh arena record, so the arena runs as a closed loop,
+// and the engines recycle their reorder slots — emission stream, emitter
+// and argument buffer — instead of building them per invocation.  The
+// signatures carry fields only, so no tag value is boxed.
+func benchRecordPlaneEngine(b *testing.B) {
+	const depth, population = 4, 256
+	sig := snet.MustParseSignature("(a) -> (a)")
+	pass := func(args []any, out *snet.Emitter) error { return out.Out(1, args[0]) }
+	stages := make([]snet.Node, 0, depth+1)
+	for i := 0; i < depth; i++ {
+		stages = append(stages, snet.NewBoxConcurrent(fmt.Sprintf("eng%d", i), sig, pass, 4))
+	}
+	stages = append(stages, snet.NewBoxConcurrent("engsink", sig,
+		func([]any, *snet.Emitter) error { return nil }, 4))
+	h := snet.Start(context.Background(), snet.Serial(stages...), snet.WithStreamBatch(8))
+	defer drainHandle(h)
+	inputs := make([]*snet.Record, population)
+	for i := range inputs {
+		inputs[i] = snet.NewRecord().SetField("a", i)
+	}
+	warmLap := func() {
+		for _, r := range inputs {
+			if err := h.Send(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for lap := 0; lap < 4; lap++ {
+		warmLap()
+	}
+	runtime.GC() // absorb the pool-clearing collection outside the window
+	for lap := 0; lap < 16; lap++ {
+		warmLap()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.Send(inputs[i%population]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+}
+
 // BenchmarkRecordPlane — E21: the zero-allocation record plane in steady
 // state.  CI runs the companion TestRecordPlaneZeroAlloc, which asserts
-// 0 allocs/op on both shapes.
+// 0 allocs/op on every shape.
 func BenchmarkRecordPlane(b *testing.B) {
 	b.Run("pipeline", benchRecordPlanePipeline)
 	b.Run("fused", benchRecordPlaneFused)
 	b.Run("routing", benchRecordPlaneRouting)
+	b.Run("engine", benchRecordPlaneEngine)
 }
 
 // TestRecordPlaneZeroAlloc is the enforced form of the benchmark: the
@@ -651,6 +698,7 @@ func TestRecordPlaneZeroAlloc(t *testing.T) {
 		{"pipeline", benchRecordPlanePipeline},
 		{"fused", benchRecordPlaneFused},
 		{"routing", benchRecordPlaneRouting},
+		{"engine", benchRecordPlaneEngine},
 	} {
 		res := testing.Benchmark(c.fn)
 		if a := res.AllocsPerOp(); a != 0 {

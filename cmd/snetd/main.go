@@ -103,6 +103,17 @@ func newService(cfg config) (*service.Service, error) {
 	return svc, nil
 }
 
+// The HTTP server's connection deadlines.  A client must deliver its
+// request header within readHeaderTimeout, and a keep-alive connection with
+// no request in flight is closed after idleConnTimeout, so neither a
+// half-sent header nor an abandoned connection holds a server goroutine
+// forever.  There is no whole-request read or write deadline: result
+// long-polls (?wait=) legitimately stay open.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleConnTimeout   = 2 * time.Minute
+)
+
 // serve binds the service to addr and runs until a signal arrives on stop,
 // then shuts down gracefully: Opens are refused at once, live sessions get
 // the drain deadline to finish over the still-open HTTP surface, and
@@ -114,7 +125,11 @@ func serve(svc *service.Service, addr string, stop <-chan os.Signal,
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleConnTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(out, "snetd: serving %d networks on %s\n", len(svc.Networks()), ln.Addr())

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -259,5 +261,39 @@ func TestNewServiceRegistersNetworks(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("networks: %v, want %v", names, want)
 		}
+	}
+}
+
+// A client that sends half a request header and stalls must not hold its
+// connection (and the server goroutine behind it) open: serve's header
+// deadline closes it.
+func TestServeClosesStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	svc, err := newService(config{workers: 1, throttle: 4, level: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan os.Signal, 1)
+	ready := make(chan string, 1)
+	served := make(chan error, 1)
+	go func() { served <- serve(svc, "127.0.0.1:0", stop, time.Second, ready, io.Discard) }()
+	defer func() {
+		stop <- syscall.SIGTERM
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	conn, err := net.Dial("tcp", <-ready)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /api/run HTTP/1.1\r\nHost: snetd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open after the header deadline: %v", err)
 	}
 }

@@ -187,7 +187,7 @@ func (b *boxNode) width(env *runEnv) int {
 
 func (b *boxNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	if w := b.width(env); w > 1 {
-		b.runConcurrent(env, in, out, w)
+		newBoxEngine(b, env, out, w).run(in)
 		return
 	}
 	defer out.close()

@@ -24,176 +24,101 @@ import (
 //     flushed, and before anything dispatched after it — in-flight
 //     invocations never leak emissions across a marker.
 //   - Panic isolation: an invocation that panics loses only its own
-//     record; its slot closes and the stream continues (invoke recovers).
-//   - Backpressure: each slot's emission buffer is an ordinary stream
-//     (newStream) with the run's frame capacity; a fast invocation far
-//     from the head of the queue blocks on its own buffer rather than
-//     ballooning memory.  Closing the slot stream when the invocation
-//     returns flushes any batched tail, so a worker never parks between
-//     calls with emissions still pending.
+//     record; its slot ends and the stream continues (invoke recovers).
+//   - Backpressure: each slot's emission buffer is a stream (emitStream)
+//     with the run's frame capacity; a fast invocation far from the head
+//     of the queue blocks on its own buffer rather than ballooning memory.
+//     Ending the invocation flushes any batched tail, so a worker never
+//     parks between calls with emissions still pending.
+//
+// The engine allocates nothing per invocation.  It owns a ring of at most
+// W+1 reorder slots, each carrying a recycled emission stream, emitter and
+// argument buffer; the dispatcher, the workers and the releaser pass slot
+// pointers only, and a slot returns to the dispatcher once the releaser has
+// seen its end-of-invocation item.  Holding W+1 slots bounds the records
+// the engine has taken from its input and not yet released to W in flight
+// plus one dispatched, within the verifier's BoxEngineHold(W) = 2W-1.
+// Slots do not outlive a busy period: when the engine goes quiet they are
+// parked in a process-wide pool, so an idle engine — wavefront keeps
+// thousands of cell replicas alive — holds no emission buffers.
 
-// boxSlot is one slot of the reorder queue: either a forwarded marker or
-// the emission stream of one invocation (closed when it returns).  The
-// worker publishes the invocation's emitter just before closing emit, so
-// the releaser — the only party that knows which emissions actually
-// reached the output stream — can settle the invocation's counters.
+// boxSlot is one reorder slot: either a forwarded marker or one invocation
+// with its input record, bound arguments, emitter and emission stream.
 type boxSlot struct {
 	mk   *marker
-	emit *streamReader
-	em   *Emitter // set by the worker before the emit writer closes
+	rec  *Record
+	args []any
+	em   Emitter
+	emit *emitStream
 }
 
-// boxCall is one dispatched invocation; emitW is the writing end of the
-// slot's emission stream, owned by the worker that picks the call up.
-type boxCall struct {
-	rec   *Record
-	args  []any
-	emitW *streamWriter
-	slot  *boxSlot
+// slotPool holds parked slots between busy periods, shared by all engines.
+var slotPool sync.Pool
+
+// boxEngine is one concurrent instance of a box node.  The dispatcher runs
+// on the node's own goroutine; workers spawn lazily, one per observed need
+// up to width, and the releaser starts with the first record.
+type boxEngine struct {
+	b        *boxNode
+	env      *runEnv
+	out      *streamWriter
+	width    int
+	consumed Variant
+
+	queue    chan *boxSlot // the FIFO reorder queue: dispatcher → releaser
+	calls    chan *boxSlot // dispatched invocations: dispatcher → idle worker
+	free     chan *boxSlot // slots the releaser finished: releaser → dispatcher
+	released chan struct{} // closed when the releaser returns
+	dead     []*boxSlot    // slots overtaken by cancellation (releaser-owned)
+
+	live     atomic.Int64 // slots owned by the engine, at most width+1
+	inflight atomic.Int64 // invocations currently running
+	spawned  int          // workers started (dispatcher-owned)
+	wg       sync.WaitGroup
 }
 
-func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter, width int) {
-	defer out.close()
+func newBoxEngine(b *boxNode, env *runEnv, out *streamWriter, width int) *boxEngine {
+	return &boxEngine{b: b, env: env, out: out, width: width,
+		consumed: NewVariant(b.boxSig.In...)}
+}
+
+// run is the dispatch loop.  A saturated engine waits for a slot before it
+// takes a record, leaving further input upstream, and the loop parks its
+// slots whenever the input goes quiet.
+func (e *boxEngine) run(in *streamReader) {
+	defer e.out.close()
+	b, env := e.b, e.env
 	env.stats.Add(b.keys.instances, 1)
-	env.stats.SetMax(b.keys.concurrency, int64(width))
-	consumed := NewVariant(b.boxSig.In...)
-
-	var (
-		inflight atomic.Int64 // invocations currently running
-		wg       sync.WaitGroup
-	)
-	// Reorder queue capacity beyond the worker count only buys queued-but-
-	// undispatched slots; width+1 keeps the dispatcher just ahead of the
-	// workers without unbounded marker pile-up.
-	slots := make(chan *boxSlot, width+1)
-	calls := make(chan *boxCall)
-
-	worker := func() {
-		defer wg.Done()
-		for c := range calls {
-			env.stats.SetMax(b.keys.inflight, inflight.Add(1))
-			em := &Emitter{env: env, out: c.emitW, box: b, src: c.rec, consumed: consumed}
-			b.invoke(env, c.args, em)
-			inflight.Add(-1)
-			em.src = nil
-			releaseRecord(c.rec) // the invocation consumed its input
-			c.slot.em = em       // published by the close below
-			c.emitW.close()
-		}
-	}
-
-	// The releaser walks the reorder queue in FIFO order, streaming each
-	// slot's emissions (or marker) to out.  Head-of-queue emissions stream
-	// through as their frames are flushed; later invocations buffer until
-	// they become the head.  It also settles the per-invocation counters:
-	// an invocation counts under "calls"/"emitted" only for what its slot
-	// actually delivered downstream; slots overtaken by cancellation —
-	// including invocations still buffered or never dispatched — count
-	// under "cancelled", matching the sequential path's contract.
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		// nextSlot dequeues the next reorder slot, flushing out's pending
-		// batch before blocking so released emissions never wait on an
-		// idle reorder queue.
-		nextSlot := func() (*boxSlot, bool) {
-			select {
-			case s, ok := <-slots:
-				return s, ok
-			default:
-			}
-			out.flush() // cancellation is handled by the send loop below
-			s, ok := <-slots
-			return s, ok
-		}
-		aborted := false
-		for {
-			s, ok := nextSlot()
-			if !ok {
-				return
-			}
-			if s.mk != nil {
-				if !aborted && !out.send(item{mk: s.mk}) {
-					aborted = true
-				}
-				continue
-			}
-			s.emit.autoFlush(out)
-			delivered, completed := 0, false
-			for !aborted {
-				it, ok := s.emit.recv()
-				if !ok {
-					if ctxDone(env.ctx) {
-						aborted = true
-						break
-					}
-					completed = s.em != nil && !s.em.stopped
-					break
-				}
-				if out.send(it) {
-					delivered++
-					continue
-				}
-				aborted = true
-			}
-			if aborted {
-				s.emit.Discard()
-			}
-			if delivered > 0 {
-				env.stats.Add(b.keys.emitted, int64(delivered))
-			}
-			if completed {
-				env.stats.Add(b.keys.calls, 1)
-			} else {
-				env.stats.Add(b.keys.cancelled, 1)
-			}
-		}
-	}()
-
-	// Dispatch loop (the node's own goroutine).  Workers spawn lazily, one
-	// per observed need up to width, so a box that happens to see only
-	// sequential traffic costs a single extra goroutine.
-	enqueue := func(s *boxSlot) bool {
-		select {
-		case slots <- s:
-			return true
-		case <-env.ctx.Done():
-			return false
-		}
-	}
-	spawned := 0
-	dispatch := func(c *boxCall) bool {
-		if spawned < width {
-			select {
-			case calls <- c: // an idle worker was already waiting
-				return true
-			default:
-				spawned++
-				wg.Add(1)
-				go worker()
-			}
-		}
-		select {
-		case calls <- c:
-			return true
-		case <-env.ctx.Done():
-			return false
-		}
-	}
+	env.stats.SetMax(b.keys.concurrency, int64(e.width))
+	var s *boxSlot
 	for {
+		if s == nil && e.live.Load() > int64(e.width) {
+			if s = e.acquire(); s == nil {
+				break
+			}
+		}
+		if !in.ready() {
+			e.quiesce(s)
+			s = nil
+		}
 		it, ok := in.recv()
 		if !ok {
 			break
 		}
+		if s == nil {
+			// The engine owns at most width slots now (only this loop adds
+			// any), so this cannot block.
+			s = e.acquire()
+		}
 		if it.mk != nil {
-			if !enqueue(&boxSlot{mk: it.mk}) {
-				break
-			}
+			s.mk = it.mk
+			e.enqueue(s)
+			s = nil
 			continue
 		}
 		rec := it.rec
 		env.trace(b.label, "in", rec)
-		args, ok := b.bindArgs(rec, nil)
+		args, ok := b.bindArgs(rec, s.args)
 		if !ok {
 			env.error(fmt.Errorf("core: box %s: input record %s does not match signature %s",
 				b.label, rec, b.boxSig))
@@ -201,22 +126,241 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 			releaseRecord(rec)
 			continue
 		}
-		emitR, emitW := newStream(env)
-		s := &boxSlot{emit: emitR}
-		if !enqueue(s) {
-			break
-		}
-		if !dispatch(&boxCall{rec: rec, args: args, emitW: emitW, slot: s}) {
-			// Cancelled between queueing the slot and handing the call to
-			// a worker; the releaser's recv is cancellation-aware, so the
+		s.rec, s.args = rec, args
+		e.enqueue(s)
+		if !e.dispatch(s) {
+			// Cancelled between queueing the slot and handing it to a
+			// worker; the releaser's recv is cancellation-aware, so the
 			// never-filled slot cannot wedge it.
+			s.rec, s = nil, nil
 			releaseRecord(rec)
 			break
 		}
+		s = nil
 	}
 	in.Discard()
-	close(calls)
-	wg.Wait()
-	close(slots)
-	<-released
+	e.shutdown(s)
+}
+
+// acquire returns a slot for the next input: a recycled one, a new one while
+// the engine owns fewer than width+1, or else the next one the releaser
+// frees.  It returns nil when the run is cancelled.
+func (e *boxEngine) acquire() *boxSlot {
+	select {
+	case s := <-e.free:
+		return s
+	default:
+	}
+	if e.live.Load() <= int64(e.width) {
+		// Only the dispatcher adds slots, so the bound holds; the releaser
+		// retires a slot only when the queue is empty, which leaves the
+		// others in free for the wait below.
+		e.live.Add(1)
+		return e.newSlot()
+	}
+	select {
+	case s := <-e.free:
+		return s
+	case <-e.env.ctx.Done():
+		return nil
+	}
+}
+
+// newSlot takes a parked slot from the pool, or builds one, and binds it to
+// this engine.
+func (e *boxEngine) newSlot() *boxSlot {
+	s, _ := slotPool.Get().(*boxSlot)
+	if s == nil || !s.emit.fits(e.env) {
+		s = &boxSlot{emit: newEmitStream(e.env), args: make([]any, 0, len(e.b.boxSig.In))}
+	}
+	s.emit.bind(e.env, e.out)
+	s.em = Emitter{env: e.env, out: &s.emit.w, box: e.b, consumed: e.consumed}
+	return s
+}
+
+// retire parks an empty slot the engine no longer needs in the pool,
+// dropping its references to the run.
+func (e *boxEngine) retire(s *boxSlot) {
+	e.live.Add(-1)
+	s.emit.unbind()
+	s.em = Emitter{}
+	clear(s.args)
+	s.args = s.args[:0]
+	slotPool.Put(s)
+}
+
+// quiesce parks the dispatcher's slot, if it holds one, and every free one
+// before the dispatcher blocks on a quiet input.
+func (e *boxEngine) quiesce(s *boxSlot) {
+	if s != nil {
+		e.retire(s)
+	}
+	for {
+		select {
+		case s := <-e.free:
+			e.retire(s)
+		default:
+			return
+		}
+	}
+}
+
+// enqueue appends a slot to the reorder queue, starting the engine's
+// channels and releaser with the first one.  The queue holds every live
+// slot, so the send never blocks.
+func (e *boxEngine) enqueue(s *boxSlot) {
+	if e.queue == nil {
+		n := e.width + 1
+		e.queue = make(chan *boxSlot, n)
+		e.free = make(chan *boxSlot, n)
+		e.calls = make(chan *boxSlot)
+		e.released = make(chan struct{})
+		go e.release()
+	}
+	e.queue <- s
+}
+
+// dispatch hands a queued invocation to a worker, spawning one if none is
+// idle and fewer than width run.  It reports false when the run is
+// cancelled first.
+func (e *boxEngine) dispatch(s *boxSlot) bool {
+	if e.spawned < e.width {
+		select {
+		case e.calls <- s: // an idle worker was already waiting
+			return true
+		default:
+			e.spawned++
+			e.wg.Add(1)
+			go e.work()
+		}
+	}
+	select {
+	case e.calls <- s:
+		return true
+	case <-e.env.ctx.Done():
+		return false
+	}
+}
+
+// work runs invocations.  Everything it does to a slot happens before the
+// end-of-invocation item is handed off: from then on the releaser owns it.
+func (e *boxEngine) work() {
+	defer e.wg.Done()
+	for s := range e.calls {
+		e.env.stats.SetMax(e.b.keys.inflight, e.inflight.Add(1))
+		s.em.src, s.em.stopped, s.em.emitted = s.rec, false, 0
+		e.b.invoke(e.env, s.args, &s.em)
+		e.inflight.Add(-1)
+		s.em.src = nil
+		releaseRecord(s.rec) // the invocation consumed its input
+		s.rec = nil
+		clear(s.args)
+		s.emit.end()
+	}
+}
+
+// release walks the reorder queue in FIFO order, streaming each slot's
+// emissions (or marker) to out.  Head-of-queue emissions stream through as
+// their frames are flushed; later invocations buffer until they become the
+// head.  It also settles the per-invocation counters: an invocation counts
+// under "calls"/"emitted" only for what its slot actually delivered
+// downstream.  Once the run is cancelled every remaining slot — including
+// invocations still buffered or never dispatched — is overtaken; shutdown
+// counts those under "cancelled" after their workers have returned,
+// matching the sequential path's contract.
+func (e *boxEngine) release() {
+	defer close(e.released)
+	b, env, out := e.b, e.env, e.out
+	aborted := false
+	for {
+		s, ok := e.next()
+		if !ok {
+			return
+		}
+		if s.mk != nil {
+			if !aborted && !out.send(item{mk: s.mk}) {
+				aborted = true
+			}
+			s.mk = nil
+			e.recycle(s, false) // no worker touches a marker slot
+			continue
+		}
+		delivered := 0
+		for !aborted {
+			it, end, ok := s.emit.next()
+			if !ok || end && ctxDone(env.ctx) {
+				aborted = true
+				break
+			}
+			if end {
+				// The run is live, so the emitter never stopped.
+				env.stats.Add(b.keys.calls, 1)
+				break
+			}
+			if out.send(it) {
+				delivered++
+				continue
+			}
+			aborted = true
+		}
+		if delivered > 0 {
+			env.stats.Add(b.keys.emitted, int64(delivered))
+		}
+		e.recycle(s, aborted)
+	}
+}
+
+// next dequeues the next reorder slot, flushing out's pending batch before
+// blocking so released emissions never wait on an idle reorder queue.
+func (e *boxEngine) next() (*boxSlot, bool) {
+	select {
+	case s, ok := <-e.queue:
+		return s, ok
+	default:
+	}
+	e.out.flush() // cancellation is handled by the send loop
+	s, ok := <-e.queue
+	return s, ok
+}
+
+// recycle hands a finished slot back.  After a cancellation a worker may
+// still be writing into it, so it waits for shutdown; a slot that ends a
+// busy period (nothing queued behind it) is parked; otherwise the
+// dispatcher reuses it.
+func (e *boxEngine) recycle(s *boxSlot, aborted bool) {
+	switch {
+	case aborted:
+		e.dead = append(e.dead, s)
+	case len(e.queue) == 0:
+		e.retire(s)
+	default:
+		e.free <- s
+	}
+}
+
+// shutdown stops the workers and the releaser and settles every slot the
+// engine still owns: slots overtaken by cancellation count under
+// "cancelled" and are drained — their buffered emissions count under
+// "stream.discarded" — and all are parked.
+func (e *boxEngine) shutdown(held *boxSlot) {
+	if held != nil {
+		e.retire(held)
+	}
+	if e.queue == nil {
+		return // never started
+	}
+	close(e.calls)
+	e.wg.Wait()
+	close(e.queue)
+	<-e.released
+	if n := len(e.dead); n > 0 {
+		e.env.stats.Add(e.b.keys.cancelled, int64(n))
+	}
+	for _, s := range e.dead {
+		s.emit.drain()
+		e.retire(s)
+	}
+	for len(e.free) > 0 {
+		e.retire(<-e.free)
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -257,4 +258,151 @@ func TestBoxEmittedCounterMatchesOutput(t *testing.T) {
 			t.Fatalf("W=%d: calls = %d, want 3", w, got)
 		}
 	}
+}
+
+// The engine's bounds, driven white-box at W ∈ {2, 4, 16} with a box that
+// blocks until released: the records it has taken from its input and not
+// yet released downstream stay within the verifier's BoxEngineHold(W), its
+// live reorder slots stay within W+1, and the invocations still overlap W
+// wide (E12).  Both streams are unbuffered, so a send completes only when
+// the engine takes the record and a receive only when the engine releases
+// one.
+func TestBoxEngineHoldAndSlotBound(t *testing.T) {
+	for _, w := range []int{2, 4, 16} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			env, cancel := newTestEnv(0, 1)
+			defer cancel()
+			gate := make(chan struct{})
+			var started atomic.Int32
+			box := NewBoxConcurrent("hold", MustParseSignature("(<n>) -> (<n>)"),
+				func(args []any, out *Emitter) error {
+					started.Add(1)
+					select {
+					case <-gate:
+					case <-out.Done():
+						return ErrCancelled
+					}
+					return out.Out(1, args[0].(int))
+				}, w).(*boxNode)
+			preregisterHotStats(box, env.stats)
+			inR, inW := newStream(env)
+			outR, outW := newStream(env)
+			e := newBoxEngine(box, env, outW, w)
+			go e.run(inR)
+
+			n := 3*w + 8
+			var taken atomic.Int64
+			go func() {
+				for i := 0; i < n; i++ {
+					if !inW.send(item{rec: NewRecord().SetTag("n", i)}) {
+						return
+					}
+					taken.Add(1)
+				}
+				inW.close()
+			}()
+			hold := BoxEngineHold(w)
+			check := func(released int64) {
+				t.Helper()
+				if held := taken.Load() - released; held > hold {
+					t.Fatalf("%d records taken and not released, BoxEngineHold(%d) = %d", held, w, hold)
+				}
+				if live := e.live.Load(); live > int64(w)+1 {
+					t.Fatalf("%d live slots, want <= W+1 = %d", live, w+1)
+				}
+			}
+
+			// Saturate: every worker blocked, then let the feeder stall.
+			deadline := time.Now().Add(5 * time.Second)
+			for started.Load() < int32(w) {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of %d invocations overlap", started.Load(), w)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			for prev := int64(-1); taken.Load() != prev; {
+				prev = taken.Load()
+				time.Sleep(20 * time.Millisecond)
+			}
+			check(0)
+			if got := env.stats.Max("box.hold.inflight"); got != int64(w) {
+				t.Fatalf("inflight high-water = %d, want W = %d", got, w)
+			}
+
+			close(gate)
+			var released int64
+			for {
+				it, ok := outR.recv()
+				if !ok {
+					break
+				}
+				if got := tagOf(t, it.rec, "n"); got != int(released) {
+					t.Fatalf("output %d carries n=%d", released, got)
+				}
+				releaseRecord(it.rec)
+				released++
+				check(released)
+			}
+			if released != int64(n) {
+				t.Fatalf("released %d of %d records", released, n)
+			}
+			if got := env.stats.Counter("box.hold.calls"); got != int64(n) {
+				t.Fatalf("calls = %d, want %d", got, n)
+			}
+		})
+	}
+}
+
+// Teardown: cancelling a W=4 engine while its non-head slots hold parked
+// emissions must drain those slots — every dropped record released to the
+// arena and counted under "stream.discarded" — and stop every goroutine
+// the run started.
+func TestBoxEngineTeardownDrainsSlots(t *testing.T) {
+	const parts = 3
+	base := goroutineCount()
+	live := PoolStats().Live()
+	box := NewBoxConcurrent("td", MustParseSignature("(<n>) -> (<n>)"),
+		func(args []any, out *Emitter) error {
+			n := args[0].(int)
+			if n == 0 {
+				// The head holds the queue until the run is cancelled.
+				<-out.Done()
+				return ErrCancelled
+			}
+			for i := 0; i < parts; i++ {
+				if err := out.Out(1, n); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 4)
+	h := Start(context.Background(), box)
+	for i := 0; i < 4; i++ {
+		if err := h.Send(recN(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := h.Stats()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Each non-head invocation folds its stream tallies as it ends, so
+	// this waits until all three have parked their emissions.
+	waitFor("parked emissions", func() bool { return stats.Counter("stream.records") == 3*parts })
+	h.Cancel()
+	h.Wait()
+	waitFor("cancelled invocations", func() bool { return stats.Counter("box.td.cancelled") == 4 })
+	waitFor("slot drain", func() bool { return stats.Counter("stream.discarded") == 3*parts })
+	waitFor("arena ledger", func() bool { return PoolStats().Live() == live })
+	if got := stats.Counter("box.td.calls") + stats.Counter("box.td.emitted"); got != 0 {
+		t.Fatalf("calls+emitted = %d after cancellation, want 0", got)
+	}
+	waitForGoroutines(t, base)
 }

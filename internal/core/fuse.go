@@ -467,24 +467,32 @@ func (x *fusedExec) process(rec *Record, out *streamWriter) bool {
 	return true
 }
 
-// preregisterFusedStats walks an execution tree and installs the lock-free
-// atomic counters for every fused segment's per-record keys.  Start calls
-// it before any run goroutine launches; afterwards the Stats hot map is
-// read-only and its reads need no lock.
-func preregisterFusedStats(n Node, s *Stats) {
+// preregisterHotStats walks an execution tree and installs the lock-free
+// atomic counters for the keys every record touches: each fused segment's
+// per-record keys and each box's per-invocation keys (calls, emitted,
+// cancelled and the inflight high-water mark), fused constituents included.
+// Start calls it before any run goroutine launches; afterwards the Stats hot
+// maps are read-only and their reads need no lock.
+func preregisterHotStats(n Node, s *Stats) {
 	switch n := n.(type) {
+	case *boxNode:
+		s.preregister(n.keys.calls, n.keys.emitted, n.keys.cancelled)
+		s.preregisterMax(n.keys.inflight)
 	case *fusedNode:
 		s.preregister(n.kRecords, n.kApplied)
+		for _, st := range n.stages {
+			preregisterHotStats(st, s)
+		}
 	case *serialNode:
-		preregisterFusedStats(n.a, s)
-		preregisterFusedStats(n.b, s)
+		preregisterHotStats(n.a, s)
+		preregisterHotStats(n.b, s)
 	case *parallelNode:
 		for _, b := range n.branches {
-			preregisterFusedStats(b, s)
+			preregisterHotStats(b, s)
 		}
 	case *starNode:
-		preregisterFusedStats(n.operand, s)
+		preregisterHotStats(n.operand, s)
 	case *splitNode:
-		preregisterFusedStats(n.operand, s)
+		preregisterHotStats(n.operand, s)
 	}
 }

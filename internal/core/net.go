@@ -52,10 +52,10 @@ func Start(ctx context.Context, root Node, opts ...Option) *Handle {
 	for _, o := range opts {
 		o(env)
 	}
-	// Fused segments count every record on preregistered atomics; install
-	// them while the collector is still single-threaded (see
-	// Stats.preregister).
-	preregisterFusedStats(root, env.stats)
+	// Fused segments and boxes count every record on preregistered
+	// atomics; install them while the collector is still single-threaded
+	// (see Stats.preregister).
+	preregisterHotStats(root, env.stats)
 	// The boundary input stream is written through sendDirect only (one
 	// frame per record, safe for concurrent client senders); batching
 	// starts at the first internal hop.

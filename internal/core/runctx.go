@@ -31,10 +31,12 @@ type Stats struct {
 	hotHWM     atomic.Int64 // "stream.frame.hwm" (a maximum, not a sum)
 
 	// hot holds additional preregistered atomic counters, keyed by stat
-	// name — per-fused-segment record counters above all.  The map is built
-	// by preregister before a run's goroutines launch and is read-only
-	// afterwards, so lookups are lock-free.
-	hot map[string]*atomic.Int64
+	// name — per-fused-segment record counters and the per-invocation box
+	// counters — and hotMax the preregistered atomic high-water marks.  Both
+	// maps are built by preregister before a run's goroutines launch and are
+	// read-only afterwards, so lookups are lock-free.
+	hot    map[string]*atomic.Int64
+	hotMax map[string]*atomic.Int64
 }
 
 // The preregistered hot-counter keys.
@@ -60,18 +62,30 @@ func atomicMax(a *atomic.Int64, v int64) {
 
 // preregister installs lock-free atomic counters for keys whose traffic is
 // known ahead of a run — Start calls it for every fused segment's per-record
-// keys before any run goroutine launches.  It must not be called once the
-// collector is in concurrent use: the hot map is immutable thereafter, which
-// is exactly what makes its reads fence-free.
+// keys and every box's per-invocation keys before any run goroutine
+// launches.  It must not be called once the collector is in concurrent use:
+// the hot maps are immutable thereafter, which is exactly what makes their
+// reads fence-free.
 func (s *Stats) preregister(keys ...string) {
-	if s.hot == nil {
-		s.hot = make(map[string]*atomic.Int64, len(keys))
+	s.hot = preregisterInto(s.hot, keys)
+}
+
+// preregisterMax is preregister for high-water marks (SetMax keys).
+func (s *Stats) preregisterMax(keys ...string) {
+	s.hotMax = preregisterInto(s.hotMax, keys)
+}
+
+func preregisterInto(m map[string]*atomic.Int64, keys []string) map[string]*atomic.Int64 {
+	if m == nil {
+		m = make(map[string]*atomic.Int64, len(keys))
 	}
-	for _, k := range keys {
-		if _, ok := s.hot[k]; !ok {
-			s.hot[k] = new(atomic.Int64)
+	cells := make([]atomic.Int64, len(keys))
+	for i, k := range keys {
+		if _, ok := m[k]; !ok {
+			m[k] = &cells[i]
 		}
 	}
+	return m
 }
 
 // NewStats returns an empty, usable Stats collector.  The runtime allocates
@@ -98,6 +112,11 @@ func (s *Stats) Merge(o *Stats) {
 	for k, c := range o.hot {
 		if v := c.Load(); v != 0 {
 			s.Add(k, v)
+		}
+	}
+	for k, c := range o.hotMax {
+		if v := c.Load(); v != 0 {
+			s.SetMax(k, v)
 		}
 	}
 	s.mu.Lock()
@@ -135,6 +154,10 @@ func (s *Stats) SetMax(key string, v int64) {
 		atomicMax(&s.hotHWM, v)
 		return
 	}
+	if m := s.hotMax[key]; m != nil {
+		atomicMax(m, v)
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v > s.maxima[key] {
@@ -162,6 +185,9 @@ func (s *Stats) Counter(key string) int64 {
 func (s *Stats) Max(key string) int64 {
 	if key == statFrameHWM {
 		return s.hotHWM.Load()
+	}
+	if m := s.hotMax[key]; m != nil {
+		return m.Load()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -209,6 +235,11 @@ func (s *Stats) Snapshot() map[string]int64 {
 	}
 	if v := s.hotHWM.Load(); v != 0 {
 		out[statFrameHWM+".max"] = v
+	}
+	for k, m := range s.hotMax {
+		if v := m.Load(); v != 0 {
+			out[k+".max"] = v
+		}
 	}
 	return out
 }

@@ -37,7 +37,8 @@ import (
 
 // item is one element on a stream: either a data record or a control marker
 // ("sort record") of the deterministic-merge protocol.  Exactly one of rec
-// and mk is non-nil.
+// and mk is non-nil — except on an emitStream, where the zero item is the
+// in-band end-of-invocation item.
 type item struct {
 	rec *Record
 	mk  *marker
@@ -153,20 +154,7 @@ func (w *streamWriter) ship(f frame) bool {
 	case <-w.env.ctx.Done():
 		// The frame never reached the channel: retract its records from the
 		// transport counters and return what the writer owned to the arena.
-		if f.batch == nil {
-			if f.single.rec != nil {
-				w.records--
-				releaseRecord(f.single.rec)
-			}
-		} else {
-			for _, it := range f.batch {
-				if it.rec != nil {
-					w.records--
-					releaseRecord(it.rec)
-				}
-			}
-			releaseFrameSlab(f.batch)
-		}
+		w.records -= discardFrame(f)
 		return false
 	}
 }
@@ -245,12 +233,16 @@ func (w *streamWriter) close() {
 		w.pending = nil
 	}
 	close(w.ch)
-	frames := w.frames + atomic.LoadInt64(&w.directFrames)
-	records := w.records + atomic.LoadInt64(&w.directRecords)
+	foldTransport(w.env, w.frames+atomic.LoadInt64(&w.directFrames),
+		w.records+atomic.LoadInt64(&w.directRecords), w.hwm)
+}
+
+// foldTransport adds one writer's transport tallies to the run's Stats.
+func foldTransport(env *runEnv, frames, records int64, hwm int) {
 	if frames > 0 {
-		w.env.stats.Add("stream.frames", frames)
-		w.env.stats.Add("stream.records", records)
-		w.env.stats.SetMax("stream.frame.hwm", int64(w.hwm))
+		env.stats.Add(statStreamFrames, frames)
+		env.stats.Add(statStreamRecords, records)
+		env.stats.SetMax(statFrameHWM, int64(hwm))
 	}
 }
 
@@ -375,31 +367,7 @@ func (r *streamReader) Discard() {
 		return
 	}
 	go func() {
-		var n int64
-		for r.pos < len(r.cur) {
-			if rec := r.cur[r.pos].rec; rec != nil {
-				n++
-				releaseRecord(rec)
-			}
-			r.pos++
-		}
-		r.finishFrame()
-		countFrame := func(f frame) {
-			if f.batch == nil {
-				if f.single.rec != nil {
-					n++
-					releaseRecord(f.single.rec)
-				}
-				return
-			}
-			for _, it := range f.batch {
-				if it.rec != nil {
-					n++
-					releaseRecord(it.rec)
-				}
-			}
-			releaseFrameSlab(f.batch)
-		}
+		n := r.discardCurrent()
 		defer func() {
 			if n > 0 {
 				r.env.stats.Add("stream.discarded", n)
@@ -414,7 +382,7 @@ func (r *streamReader) Discard() {
 				if !ok {
 					return
 				}
-				countFrame(f)
+				n += discardFrame(f)
 				continue
 			default:
 			}
@@ -423,12 +391,153 @@ func (r *streamReader) Discard() {
 				if !ok {
 					return
 				}
-				countFrame(f)
+				n += discardFrame(f)
 			case <-r.env.ctx.Done():
 				return
 			}
 		}
 	}()
+}
+
+// ready reports whether recv would return without blocking: an item is
+// left in the current frame or a frame is waiting in the channel.
+func (r *streamReader) ready() bool {
+	return r.pos < len(r.cur) || len(r.ch) > 0
+}
+
+// emitStream is a recycled stream carrying the emissions of one box
+// invocation at a time — a reorder slot's buffer in the concurrent box
+// engine (boxengine.go).  The writer ends each invocation with an in-band
+// end-of-invocation item (the zero item) instead of closing the channel, so
+// the same channel, reader and writer serve invocation after invocation.
+// The writer is owned by the worker running the current invocation, the
+// reader by the engine's releaser; the end-of-invocation handoff passes the
+// whole stream back, so neither end may be touched by its old owner after
+// it.
+type emitStream struct {
+	r streamReader
+	w streamWriter
+}
+
+func newEmitStream(env *runEnv) *emitStream {
+	ch := make(chan frame, env.buf)
+	return &emitStream{
+		r: streamReader{env: env, ch: ch},
+		w: streamWriter{env: env, ch: ch, batch: env.batch},
+	}
+}
+
+// fits reports whether the stream has env's frame capacity, i.e. whether a
+// parked stream may serve env's run.
+func (s *emitStream) fits(env *runEnv) bool { return cap(s.r.ch) == env.buf }
+
+// bind attaches the stream to a run; out is the writer the reader's
+// goroutine owns and flushes whenever it waits for emissions.
+func (s *emitStream) bind(env *runEnv, out *streamWriter) {
+	s.r.env, s.w.env, s.w.batch = env, env, env.batch
+	s.r.onIdle = append(s.r.onIdle[:0], out)
+}
+
+// unbind detaches an empty stream from its run before it is parked, so a
+// parked stream pins neither the run nor a frame slab.
+func (s *emitStream) unbind() {
+	s.r.env, s.w.env = nil, nil
+	clear(s.r.onIdle)
+	s.r.onIdle = s.r.onIdle[:0]
+	if s.w.pending != nil {
+		releaseFrameSlab(s.w.pending)
+		s.w.pending = nil
+	}
+}
+
+// end closes the current invocation: the pending emissions and the
+// end-of-invocation item go downstream in one frame.  The writer's
+// transport tallies settle into the run's Stats exactly as close would
+// settle them (the end item is neither a record nor a frame of its own);
+// the writer is reset before the handoff, because the reader may recycle
+// the stream the moment the item lands.  Under cancellation the
+// undelivered emissions are released.
+func (s *emitStream) end() {
+	w := &s.w
+	env := w.env
+	frames, records, hwm := w.frames, w.records, w.hwm
+	w.frames, w.records, w.hwm = 0, 0, 0
+	var f frame // the zero frame carries the end item inline
+	if len(w.pending) > 0 {
+		f.batch = append(w.pending, item{})
+		w.pending = nil
+	}
+	select {
+	case w.ch <- f:
+		if n := len(f.batch) - 1; n > 0 {
+			frames++
+			hwm = max(hwm, n)
+		}
+	case <-env.ctx.Done():
+		records -= discardFrame(f)
+	}
+	foldTransport(env, frames, records, hwm)
+}
+
+// next returns the current invocation's next emission; end reports the
+// end-of-invocation item, after which the stream is ready for the next
+// invocation.  ok is false when the run has been cancelled.
+func (s *emitStream) next() (it item, end, ok bool) {
+	it, ok = s.r.recv()
+	if ok && it.rec == nil && it.mk == nil {
+		// The end item is always the last of its frame.
+		s.r.finishFrame()
+		return it, true, true
+	}
+	return it, false, ok
+}
+
+// drain empties the stream once no writer is active on it — the engine's
+// exit after a cancellation — releasing the buffered emissions and counting
+// them under "stream.discarded", as Discard would.
+func (s *emitStream) drain() {
+	n := s.r.discardCurrent()
+	for len(s.r.ch) > 0 {
+		n += discardFrame(<-s.r.ch)
+	}
+	if n > 0 {
+		s.r.env.stats.Add("stream.discarded", n)
+	}
+}
+
+// discardCurrent releases the data records left in the current frame and
+// returns how many there were.
+func (r *streamReader) discardCurrent() int64 {
+	var n int64
+	for ; r.pos < len(r.cur); r.pos++ {
+		if rec := r.cur[r.pos].rec; rec != nil {
+			n++
+			releaseRecord(rec)
+		}
+	}
+	r.finishFrame()
+	return n
+}
+
+// discardFrame releases the data records of one undelivered frame (and its
+// slab) and returns how many there were.
+func discardFrame(f frame) int64 {
+	if f.batch == nil {
+		if f.single.rec != nil {
+			releaseRecord(f.single.rec)
+			return 1
+		}
+		return 0
+	}
+	var n int64
+	for _, it := range f.batch {
+		if it.rec != nil {
+			n++
+			releaseRecord(it.rec)
+		}
+	}
+	releaseFrameSlab(f.batch)
+	return n
 }
 
 // ctxDone reports whether the run has been cancelled.
