@@ -95,9 +95,10 @@ func (a *Array[T]) Dim() int { return len(a.shape) }
 // Shape returns a copy of the shape vector (SaC's shape()).
 func (a *Array[T]) Shape() []int { return cloneInts(a.shape) }
 
-// shapeRef returns the internal shape without copying; callers must not
-// mutate it.
-func (a *Array[T]) shapeRef() []int { return a.shape }
+// ShapeRef returns the shape vector without copying.  Callers must treat
+// it as read-only; it is for code that only reads the shape, such as
+// bounds checks and offset computation.
+func (a *Array[T]) ShapeRef() []int { return a.shape }
 
 // Size returns the total number of elements.
 func (a *Array[T]) Size() int { return len(a.data) }

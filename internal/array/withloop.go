@@ -24,6 +24,19 @@ type Gen[T any] struct {
 	IncUpper     bool  // true for "iv <= upper"
 	Step, Width  []int // optional grid filter: (iv-lower) mod step < width
 	Body         func(iv []int) T
+	// Chunk, when set, replaces Body: the engine calls it once per
+	// scheduled chunk and uses the function it returns as the body for
+	// that chunk's indices, so a body can keep scratch state private to
+	// the worker running the chunk.
+	Chunk func() func(iv []int) T
+}
+
+// chunkBody returns the body for one scheduled chunk.
+func (g *Gen[T]) chunkBody() func(iv []int) T {
+	if g.Chunk != nil {
+		return g.Chunk()
+	}
+	return g.Body
 }
 
 // GenHalfOpen returns the common generator form lower <= iv < upper.
@@ -124,7 +137,7 @@ func applyGen[T any](p *sched.Pool, res *Array[T], g *Gen[T]) {
 	}
 	g.checkGrid(rank)
 	lo, hi := g.bounds()
-	shape := res.shapeRef()
+	shape := res.ShapeRef()
 	// Intersect with the result's index space.
 	ext := make([]int, rank)
 	total := 1
@@ -147,10 +160,11 @@ func applyGen[T any](p *sched.Pool, res *Array[T], g *Gen[T]) {
 	}
 	if rank == 0 {
 		// Degenerate scalar generator covers the single element.
-		res.data[0] = g.Body(nil)
+		res.data[0] = g.chunkBody()(nil)
 		return
 	}
 	err := p.For(context.Background(), total, func(lin0, lin1 int) {
+		body := g.chunkBody()
 		iv := make([]int, rank)
 		off := make([]int, rank)
 		for lin := lin0; lin < lin1; lin++ {
@@ -163,7 +177,7 @@ func applyGen[T any](p *sched.Pool, res *Array[T], g *Gen[T]) {
 			if !g.onGrid(off) {
 				continue
 			}
-			res.data[IndexToLinear(iv, shape)] = g.Body(iv)
+			res.data[IndexToLinear(iv, shape)] = body(iv)
 		}
 	})
 	rethrow(err)
@@ -197,11 +211,12 @@ func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T 
 			continue
 		}
 		if rank == 0 {
-			acc = op(acc, g.Body(nil))
+			acc = op(acc, g.chunkBody()(nil))
 			continue
 		}
 		part, err := sched.Reduce(p, context.Background(), total, neutral,
 			func(lin0, lin1 int, a T) T {
+				body := g.chunkBody()
 				iv := make([]int, rank)
 				off := make([]int, rank)
 				for lin := lin0; lin < lin1; lin++ {
@@ -213,7 +228,7 @@ func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T 
 					if !g.onGrid(off) {
 						continue
 					}
-					a = op(a, g.Body(iv))
+					a = op(a, body(iv))
 				}
 				return a
 			}, op)

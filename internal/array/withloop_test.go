@@ -1,6 +1,7 @@
 package array
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -276,5 +277,37 @@ func TestQuickFoldMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A Chunk hook is called once per scheduled chunk and its body covers
+// exactly that chunk's indices: results match a plain Body, and chunk
+// state is never shared between two chunks.
+func TestGenChunkHook(t *testing.T) {
+	for _, p := range pools {
+		var chunks atomic.Int64
+		chunked := Gen[int]{Lower: []int{0}, Upper: []int{50}, Chunk: func() func(iv []int) int {
+			chunks.Add(1)
+			var owner []int // the iv slice this chunk's body is called with
+			return func(iv []int) int {
+				if owner == nil {
+					owner = iv
+				} else if &owner[0] != &iv[0] {
+					t.Error("one chunk body called from two chunks")
+				}
+				return iv[0] * 3
+			}
+		}}
+		plain := GenHalfOpen([]int{0}, []int{50}, func(iv []int) int { return iv[0] * 3 })
+		if !Equal(Genarray(p, []int{50}, 0, chunked), Genarray(p, []int{50}, 0, plain)) {
+			t.Fatal("genarray: chunked body differs from Body")
+		}
+		add := func(a, b int) int { return a + b }
+		if got, want := Fold(p, 0, add, chunked), Fold(p, 0, add, plain); got != want {
+			t.Fatalf("fold: %d, want %d", got, want)
+		}
+		if p.Width() > 1 && chunks.Load() < 4 {
+			t.Fatalf("%d chunks on a %d-wide pool with grain %d", chunks.Load(), p.Width(), p.Grain())
+		}
 	}
 }

@@ -3,8 +3,8 @@ package sacvm
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"repro/internal/array"
 	"repro/internal/sched"
 )
 
@@ -13,12 +13,14 @@ import (
 // (§4).  Outside box contexts snet_out is an error.
 type EmitFn func(variant int, vals []Value) error
 
-// Interp evaluates a parsed SaC program.  It is safe for concurrent Call
-// invocations: all mutable state is per-call.
+// Interp evaluates a parsed SaC program.  New compiles every function once
+// into closures over slot-indexed frames; Call only runs them.  It is safe
+// for concurrent Call invocations: all mutable state is per-call.
 type Interp struct {
 	prog *Program
 	pool *sched.Pool
 	out  io.Writer
+	funs map[string]*fun
 }
 
 // New returns an interpreter for prog whose with-loops execute on pool.
@@ -26,7 +28,14 @@ func New(prog *Program, pool *sched.Pool) *Interp {
 	if pool == nil {
 		pool = sched.New(1)
 	}
-	return &Interp{prog: prog, pool: pool}
+	itp := &Interp{prog: prog, pool: pool, funs: make(map[string]*fun, len(prog.Funs))}
+	for name, fd := range prog.Funs {
+		itp.funs[name] = &fun{decl: fd}
+	}
+	for _, f := range itp.funs {
+		compileFun(itp, f)
+	}
+	return itp
 }
 
 // SetOutput directs the print builtin (default: discard).
@@ -41,365 +50,436 @@ func (itp *Interp) HasFun(name string) bool {
 // Call invokes a defined function with the given arguments.  emit handles
 // snet_out calls (nil means snet_out is unavailable).
 func (itp *Interp) Call(name string, args []Value, emit EmitFn) ([]Value, error) {
-	fd, ok := itp.prog.Funs[name]
+	f, ok := itp.funs[name]
 	if !ok {
 		return nil, fmt.Errorf("sac: undefined function %q", name)
 	}
-	ctx := &evalCtx{itp: itp, emit: emit}
-	return ctx.callFun(fd, args, Pos{})
-}
-
-// evalCtx carries the per-call context (the snet_out sink).
-type evalCtx struct {
-	itp  *Interp
-	emit EmitFn
-}
-
-// env is a lexical environment.  Function bodies use a single flat frame
-// (C-style scoping, as the paper's Core SaC defines assignment sequences as
-// nested lets over one frame); with-loop bodies push read-only child frames.
-type env struct {
-	vars   map[string]Value
-	parent *env
-}
-
-func (e *env) lookup(name string) (Value, bool) {
-	for cur := e; cur != nil; cur = cur.parent {
-		if v, ok := cur.vars[name]; ok {
-			return v, true
+	if len(args) != len(f.decl.Params) {
+		return nil, errf(Pos{}, "%s expects %d arguments, got %d", f.decl.Name, len(f.decl.Params), len(args))
+	}
+	fr := make([]val, f.nslots)
+	for i, a := range args {
+		if fr[i] = fromValue(a); !fr[i].isDefined() {
+			return nil, errf(Pos{}, "%s: argument %d holds no array", f.decl.Name, i+1)
 		}
 	}
-	return Value{}, false
-}
-
-func (e *env) set(name string, v Value) { e.vars[name] = v }
-
-func (ctx *evalCtx) callFun(fd *FunDecl, args []Value, at Pos) ([]Value, error) {
-	if len(args) != len(fd.Params) {
-		return nil, errf(at, "%s expects %d arguments, got %d", fd.Name, len(fd.Params), len(args))
-	}
-	frame := &env{vars: make(map[string]Value, len(fd.Params)+8)}
-	for i, p := range fd.Params {
-		frame.set(p.Name, args[i])
-	}
-	ret, err := ctx.execBlock(fd.Body, frame)
-	if err != nil {
+	cxs := &[2]callCtx{{itp: itp, emit: emit}, {itp: itp, emit: emit, inBody: true}}
+	cxs[0].body, cxs[1].body = &cxs[1], &cxs[1]
+	rs, err := f.run(&cxs[0], fr)
+	if err != nil || rs == nil {
 		return nil, err
 	}
-	if ret == nil {
-		if len(fd.Returns) == 1 && fd.Returns[0].Base == "void" {
-			return nil, nil
-		}
-		return nil, errf(fd.At, "%s: missing return", fd.Name)
-	}
-	return *ret, nil
-}
-
-// execBlock runs statements; a non-nil result signals a return.
-func (ctx *evalCtx) execBlock(stmts []Stmt, e *env) (*[]Value, error) {
-	for _, s := range stmts {
-		ret, err := ctx.execStmt(s, e)
-		if err != nil || ret != nil {
-			return ret, err
-		}
-	}
-	return nil, nil
-}
-
-func (ctx *evalCtx) execStmt(s Stmt, e *env) (*[]Value, error) {
-	switch s := s.(type) {
-	case *AssignStmt:
-		var vals []Value
-		for _, ex := range s.Exprs {
-			vs, err := ctx.evalMulti(ex, e)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, vs...)
-		}
-		if len(vals) != len(s.Targets) {
-			return nil, errf(s.At, "assignment of %d values to %d targets", len(vals), len(s.Targets))
-		}
-		for i, t := range s.Targets {
-			e.set(t, vals[i])
-		}
-		return nil, nil
-	case *IndexAssignStmt:
-		cur, ok := e.lookup(s.Name)
-		if !ok {
-			return nil, errf(s.At, "undefined variable %q", s.Name)
-		}
-		iv, err := ctx.evalIndexVector(s.Index, e, s.At)
-		if err != nil {
-			return nil, err
-		}
-		val, err := ctx.eval(s.Value, e)
-		if err != nil {
-			return nil, err
-		}
-		upd, err := indexUpdate(cur, iv, val, s.At)
-		if err != nil {
-			return nil, err
-		}
-		e.set(s.Name, upd)
-		return nil, nil
-	case *IfStmt:
-		c, err := ctx.eval(s.Cond, e)
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.AsBool(s.At)
-		if err != nil {
-			return nil, err
-		}
-		if b {
-			return ctx.execBlock(s.Then, e)
-		}
-		return ctx.execBlock(s.Else, e)
-	case *WhileStmt:
-		for {
-			c, err := ctx.eval(s.Cond, e)
-			if err != nil {
-				return nil, err
-			}
-			b, err := c.AsBool(s.At)
-			if err != nil {
-				return nil, err
-			}
-			if !b {
-				return nil, nil
-			}
-			ret, err := ctx.execBlock(s.Body, e)
-			if err != nil || ret != nil {
-				return ret, err
-			}
-		}
-	case *ForStmt:
-		if s.Init != nil {
-			if _, err := ctx.execStmt(s.Init, e); err != nil {
-				return nil, err
-			}
-		}
-		for {
-			c, err := ctx.eval(s.Cond, e)
-			if err != nil {
-				return nil, err
-			}
-			b, err := c.AsBool(s.At)
-			if err != nil {
-				return nil, err
-			}
-			if !b {
-				return nil, nil
-			}
-			ret, err := ctx.execBlock(s.Body, e)
-			if err != nil || ret != nil {
-				return ret, err
-			}
-			if s.Post != nil {
-				if _, err := ctx.execStmt(s.Post, e); err != nil {
-					return nil, err
-				}
-			}
-		}
-	case *ReturnStmt:
-		vals := make([]Value, 0, len(s.Exprs))
-		for _, ex := range s.Exprs {
-			vs, err := ctx.evalMulti(ex, e)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, vs...)
-		}
-		return &vals, nil
-	case *ExprStmt:
-		_, err := ctx.evalMulti(s.X, e)
-		return nil, err
-	}
-	return nil, errf(s.pos(), "unknown statement %T", s)
-}
-
-// evalMulti evaluates an expression that may yield multiple values (a
-// multi-value function call); all other expressions yield one value.
-func (ctx *evalCtx) evalMulti(ex Expr, e *env) ([]Value, error) {
-	if call, ok := ex.(*CallExpr); ok {
-		return ctx.evalCall(call, e)
-	}
-	v, err := ctx.eval(ex, e)
-	if err != nil {
-		return nil, err
-	}
-	return []Value{v}, nil
-}
-
-func (ctx *evalCtx) eval(ex Expr, e *env) (Value, error) {
-	switch ex := ex.(type) {
-	case *IntLit:
-		return IntScalar(ex.V), nil
-	case *DoubleLit:
-		return DoubleScalar(ex.V), nil
-	case *BoolLit:
-		return BoolScalar(ex.V), nil
-	case *VarRef:
-		v, ok := e.lookup(ex.Name)
-		if !ok {
-			return Value{}, errf(ex.At, "undefined variable %q", ex.Name)
-		}
-		return v, nil
-	case *ArrayLit:
-		return ctx.evalArrayLit(ex, e)
-	case *UnaryExpr:
-		x, err := ctx.eval(ex.X, e)
-		if err != nil {
-			return Value{}, err
-		}
-		return evalUnary(ctx.itp.pool, ex.Op, x, ex.At)
-	case *BinExpr:
-		return ctx.evalBinary(ex, e)
-	case *IndexExpr:
-		x, err := ctx.eval(ex.X, e)
-		if err != nil {
-			return Value{}, err
-		}
-		iv, err := ctx.evalIndexVector(ex.Idx, e, ex.At)
-		if err != nil {
-			return Value{}, err
-		}
-		return indexSelect(x, iv, ex.At)
-	case *CallExpr:
-		vs, err := ctx.evalCall(ex, e)
-		if err != nil {
-			return Value{}, err
-		}
-		if len(vs) != 1 {
-			return Value{}, errf(ex.At, "%s yields %d values in single-value context", ex.Name, len(vs))
-		}
-		return vs[0], nil
-	case *WithLoop:
-		return ctx.evalWith(ex, e)
-	}
-	return Value{}, errf(ex.epos(), "unknown expression %T", ex)
-}
-
-// evalBinary handles && / || with scalar short-circuit, everything else
-// elementwise with scalar broadcast.
-func (ctx *evalCtx) evalBinary(ex *BinExpr, e *env) (Value, error) {
-	x, err := ctx.eval(ex.X, e)
-	if err != nil {
-		return Value{}, err
-	}
-	if (ex.Op == "&&" || ex.Op == "||") && x.Kind == KindBool && x.IsScalar() {
-		b := x.B.ScalarValue()
-		if (ex.Op == "&&" && !b) || (ex.Op == "||" && b) {
-			return BoolScalar(b), nil
-		}
-		return ctx.eval(ex.Y, e)
-	}
-	y, err := ctx.eval(ex.Y, e)
-	if err != nil {
-		return Value{}, err
-	}
-	return evalBinop(ctx.itp.pool, ex.Op, x, y, ex.At)
-}
-
-// evalIndexVector evaluates index expressions: either one vector-valued
-// expression (a[iv]) or a list of scalars (a[i,j,k]).
-func (ctx *evalCtx) evalIndexVector(idx []Expr, e *env, at Pos) ([]int, error) {
-	if len(idx) == 1 {
-		v, err := ctx.eval(idx[0], e)
-		if err != nil {
-			return nil, err
-		}
-		if v.Kind == KindInt && v.Dim() == 1 {
-			return append([]int(nil), v.I.Data()...), nil
-		}
-		n, err := v.AsInt(at)
-		if err != nil {
-			return nil, err
-		}
-		return []int{n}, nil
-	}
-	out := make([]int, len(idx))
-	for i, ixe := range idx {
-		v, err := ctx.eval(ixe, e)
-		if err != nil {
-			return nil, err
-		}
-		n, err := v.AsInt(at)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = n
+	out := make([]Value, len(rs))
+	for i, v := range rs {
+		out[i] = v.box()
 	}
 	return out, nil
 }
 
-func (ctx *evalCtx) evalArrayLit(lit *ArrayLit, e *env) (Value, error) {
-	if len(lit.Elems) == 0 {
-		return IntValue(array.New([]int{0}, 0)), nil
+// callCtx carries what one Call shares across its frames: the interpreter
+// and the snet_out sink.  It is read-only once built.
+type callCtx struct {
+	itp  *Interp
+	emit EmitFn
+	// inBody is set while a with-loop body runs: its index vector is an
+	// array rewritten in place for every element, so snet_out copies the
+	// arrays it hands out.
+	inBody bool
+	body   *callCtx // the context with-loop bodies run in
+}
+
+// A frame is the []val of one function activation.  Slots are laid out at
+// compile time: parameters first, then the function's return slots, then
+// every other variable and every with-loop index variable.  With-loop
+// bodies run on a private per-chunk copy of the enclosing frame.
+type (
+	expr  func(cx *callCtx, fr []val) (val, error)
+	multi func(cx *callCtx, fr []val) ([]val, error)
+	// stmt runs a statement.  A non-nil result means the statement
+	// executed a return with those values.
+	stmt func(cx *callCtx, fr []val) ([]val, error)
+)
+
+// noVals is the result of `return;`: non-nil, so it still signals a return.
+var noVals = []val{}
+
+// fun is a compiled function definition.
+type fun struct {
+	decl   *FunDecl
+	nslots int
+	body   stmt
+	void   bool
+}
+
+// run executes the function on a frame whose parameter slots are filled.
+// The returned slice may alias the frame.
+func (f *fun) run(cx *callCtx, fr []val) ([]val, error) {
+	rs, err := f.body(cx, fr)
+	if err != nil {
+		return nil, err
 	}
-	vals := make([]Value, len(lit.Elems))
-	for i, el := range lit.Elems {
-		v, err := ctx.eval(el, e)
-		if err != nil {
-			return Value{}, err
+	if rs == nil {
+		if f.void {
+			return nil, nil
 		}
-		vals[i] = v
+		return nil, errf(f.decl.At, "%s: missing return", f.decl.Name)
 	}
-	kind := vals[0].Kind
-	shape := vals[0].Shape()
-	for _, v := range vals[1:] {
-		if v.Kind != kind || !sameShape(v.Shape(), shape) {
-			return Value{}, errf(lit.At, "array literal elements must agree in type and shape")
-		}
+	return rs, nil
+}
+
+// compiler resolves one function body to closures.
+type compiler struct {
+	itp    *Interp
+	slots  map[string]int // function-level variables
+	scope  []binding      // with-loop index variables in scope, innermost last
+	nslots int
+	retAt  int    // first return slot
+	known  []bool // slots definitely assigned where compilation stands
+}
+
+type binding struct {
+	name string
+	slot int
+}
+
+func compileFun(itp *Interp, f *fun) {
+	fd := f.decl
+	c := &compiler{itp: itp, slots: make(map[string]int)}
+	for _, p := range fd.Params {
+		c.define(p.Name)
+		c.assigns(c.slots[p.Name])
 	}
-	outShape := append([]int{len(vals)}, shape...)
-	switch kind {
-	case KindInt:
-		data := make([]int, 0, len(vals)*vals[0].Size())
-		for _, v := range vals {
-			data = append(data, v.I.Data()...)
-		}
-		return IntValue(array.FromSlice(outShape, data)), nil
-	case KindBool:
-		data := make([]bool, 0, len(vals)*vals[0].Size())
-		for _, v := range vals {
-			data = append(data, v.B.Data()...)
-		}
-		return BoolValue(array.FromSlice(outShape, data)), nil
-	default:
-		data := make([]float64, 0, len(vals)*vals[0].Size())
-		for _, v := range vals {
-			data = append(data, v.D.Data()...)
-		}
-		return DoubleValue(array.FromSlice(outShape, data)), nil
+	c.retAt = c.nslots
+	c.nslots += c.maxReturnArity(fd.Body)
+	assigned(fd.Body, c.define)
+	f.void = len(fd.Returns) == 1 && fd.Returns[0].Base == "void"
+	f.body = c.block(fd.Body)
+	f.nslots = c.nslots
+}
+
+// define gives a function-level variable a slot, once.
+func (c *compiler) define(name string) {
+	if _, ok := c.slots[name]; !ok {
+		c.slots[name] = c.nslots
+		c.nslots++
 	}
 }
 
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// assigns records that slot is definitely assigned from here on.
+func (c *compiler) assigns(slot int) {
+	for len(c.known) <= slot {
+		c.known = append(c.known, false)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	c.known[slot] = true
 }
 
-func (ctx *evalCtx) evalCall(call *CallExpr, e *env) ([]Value, error) {
-	// User definitions shadow builtins.
-	if fd, ok := ctx.itp.prog.Funs[call.Name]; ok {
-		args := make([]Value, len(call.Args))
-		for i, a := range call.Args {
-			v, err := ctx.eval(a, e)
+// meet keeps only the slots assigned on both of two paths.
+func (c *compiler) meet(other []bool) {
+	for i := range c.known {
+		c.known[i] = c.known[i] && i < len(other) && other[i]
+	}
+}
+
+// lookup resolves a name: innermost with-loop index variable first, then
+// the function's variables.
+func (c *compiler) lookup(name string) (int, bool) {
+	for i := len(c.scope) - 1; i >= 0; i-- {
+		if c.scope[i].name == name {
+			return c.scope[i].slot, true
+		}
+	}
+	s, ok := c.slots[name]
+	return s, ok
+}
+
+// assigned calls def for every variable a statement list assigns.
+func assigned(ss []Stmt, def func(string)) {
+	for _, s := range ss {
+		switch s := s.(type) {
+		case *AssignStmt:
+			for _, t := range s.Targets {
+				def(t)
+			}
+		case *IndexAssignStmt:
+			def(s.Name)
+		case *IfStmt:
+			assigned(s.Then, def)
+			assigned(s.Else, def)
+		case *ForStmt:
+			if s.Init != nil {
+				assigned([]Stmt{s.Init}, def)
+			}
+			if s.Post != nil {
+				assigned([]Stmt{s.Post}, def)
+			}
+			assigned(s.Body, def)
+		case *WhileStmt:
+			assigned(s.Body, def)
+		}
+	}
+}
+
+// maxReturnArity is the number of return slots a body needs: the longest
+// return statement whose values all come from single-valued expressions.
+func (c *compiler) maxReturnArity(ss []Stmt) int {
+	n := 0
+	for _, s := range ss {
+		m := 0
+		switch s := s.(type) {
+		case *ReturnStmt:
+			if !c.hasMultiCall(s.Exprs) {
+				m = len(s.Exprs)
+			}
+		case *IfStmt:
+			m = max(c.maxReturnArity(s.Then), c.maxReturnArity(s.Else))
+		case *ForStmt:
+			m = c.maxReturnArity(s.Body)
+		case *WhileStmt:
+			m = c.maxReturnArity(s.Body)
+		}
+		n = max(n, m)
+	}
+	return n
+}
+
+// hasMultiCall reports whether a value list holds a call that may yield
+// other than one value.
+func (c *compiler) hasMultiCall(es []Expr) bool {
+	for _, e := range es {
+		if call, ok := e.(*CallExpr); ok && c.results(call) != 1 {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *compiler) block(ss []Stmt) stmt {
+	stmts := make([]stmt, len(ss))
+	for i, s := range ss {
+		stmts[i] = c.stmt(s)
+	}
+	switch len(stmts) {
+	case 0:
+		return func(*callCtx, []val) ([]val, error) { return nil, nil }
+	case 1:
+		return stmts[0]
+	}
+	return func(cx *callCtx, fr []val) ([]val, error) {
+		for _, s := range stmts {
+			if rs, err := s(cx, fr); err != nil || rs != nil {
+				return rs, err
+			}
+		}
+		return nil, nil
+	}
+}
+
+func (c *compiler) stmt(s Stmt) stmt {
+	switch s := s.(type) {
+	case *AssignStmt:
+		return c.assign(s)
+	case *IndexAssignStmt:
+		return c.indexAssign(s)
+	case *IfStmt:
+		cond := c.cond(s.Cond, s.At)
+		before := slices.Clone(c.known)
+		then := c.block(s.Then)
+		afterThen := c.known
+		c.known = before
+		els := c.block(s.Else)
+		c.meet(afterThen)
+		return func(cx *callCtx, fr []val) ([]val, error) {
+			b, err := cond(cx, fr)
 			if err != nil {
 				return nil, err
 			}
-			args[i] = v
+			if b {
+				return then(cx, fr)
+			}
+			return els(cx, fr)
 		}
-		return ctx.callFun(fd, args, call.At)
+	case *WhileStmt:
+		return c.loop(nil, s.Cond, nil, s.Body, s.At)
+	case *ForStmt:
+		return c.loop(s.Init, s.Cond, s.Post, s.Body, s.At)
+	case *ReturnStmt:
+		return c.ret(s)
+	case *ExprStmt:
+		m := c.multi(s.X)
+		return func(cx *callCtx, fr []val) ([]val, error) {
+			_, err := m(cx, fr)
+			return nil, err
+		}
 	}
-	return ctx.evalBuiltin(call, e)
+	err := errf(s.pos(), "unknown statement %T", s)
+	return func(*callCtx, []val) ([]val, error) { return nil, err }
+}
+
+// cond compiles a branch or loop condition, which must be a bool scalar.
+func (c *compiler) cond(e Expr, at Pos) func(cx *callCtx, fr []val) (bool, error) {
+	ce := c.expr(e)
+	return func(cx *callCtx, fr []val) (bool, error) {
+		v, err := ce(cx, fr)
+		if err != nil {
+			return false, err
+		}
+		if v.t != vBool {
+			return false, errf(at, "expected bool scalar, got %s", v.typeString())
+		}
+		return v.bval(), nil
+	}
+}
+
+// loop compiles while (init and post nil) and for loops.
+func (c *compiler) loop(init Stmt, condE Expr, post Stmt, body []Stmt, at Pos) stmt {
+	noop := func(*callCtx, []val) ([]val, error) { return nil, nil }
+	initS, postS := stmt(noop), stmt(noop)
+	if init != nil {
+		initS = c.stmt(init)
+	}
+	// The body may not run: what it assigns is not known afterwards.
+	before := slices.Clone(c.known)
+	cond, bodyS := c.cond(condE, at), c.block(body)
+	if post != nil {
+		postS = c.stmt(post)
+	}
+	c.known = before
+	return func(cx *callCtx, fr []val) ([]val, error) {
+		if _, err := initS(cx, fr); err != nil {
+			return nil, err
+		}
+		for {
+			b, err := cond(cx, fr)
+			if err != nil || !b {
+				return nil, err
+			}
+			if rs, err := bodyS(cx, fr); err != nil || rs != nil {
+				return rs, err
+			}
+			if _, err := postS(cx, fr); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
+func (c *compiler) assign(s *AssignStmt) stmt {
+	if len(s.Targets) == 1 && len(s.Exprs) == 1 && !c.hasMultiCall(s.Exprs) {
+		e := c.expr(s.Exprs[0])
+		t, _ := c.lookup(s.Targets[0])
+		c.assigns(t)
+		return func(cx *callCtx, fr []val) ([]val, error) {
+			v, err := e(cx, fr)
+			if err != nil {
+				return nil, err
+			}
+			fr[t] = v
+			return nil, nil
+		}
+	}
+	targets := make([]int, len(s.Targets))
+	for i, t := range s.Targets {
+		targets[i], _ = c.lookup(t)
+	}
+	var m multi
+	if len(s.Exprs) == 1 {
+		m = c.multi(s.Exprs[0])
+	} else {
+		// Parallel assignment: every value is computed before any
+		// target is written, so x, y = y, x swaps.
+		ms := c.multis(s.Exprs)
+		m = func(cx *callCtx, fr []val) ([]val, error) {
+			return ms(cx, fr, make([]val, 0, len(targets)))
+		}
+	}
+	for _, t := range targets {
+		c.assigns(t)
+	}
+	return func(cx *callCtx, fr []val) ([]val, error) {
+		vs, err := m(cx, fr)
+		if err != nil {
+			return nil, err
+		}
+		if len(vs) != len(targets) {
+			return nil, errf(s.At, "assignment of %d values to %d targets", len(vs), len(targets))
+		}
+		for i, t := range targets {
+			fr[t] = vs[i]
+		}
+		return nil, nil
+	}
+}
+
+func (c *compiler) ret(s *ReturnStmt) stmt {
+	if !c.hasMultiCall(s.Exprs) {
+		es := c.exprs(s.Exprs)
+		base := c.retAt
+		return func(cx *callCtx, fr []val) ([]val, error) {
+			for i, e := range es {
+				v, err := e(cx, fr)
+				if err != nil {
+					return nil, err
+				}
+				fr[base+i] = v
+			}
+			return fr[base : base+len(es) : base+len(es)], nil
+		}
+	}
+	if len(s.Exprs) == 1 {
+		m := c.multi(s.Exprs[0])
+		return func(cx *callCtx, fr []val) ([]val, error) {
+			rs, err := m(cx, fr)
+			if err == nil && rs == nil {
+				rs = noVals
+			}
+			return rs, err
+		}
+	}
+	ms := c.multis(s.Exprs)
+	return func(cx *callCtx, fr []val) ([]val, error) {
+		return ms(cx, fr, make([]val, 0, len(s.Exprs)))
+	}
+}
+
+// multi compiles an expression in a context that accepts any number of
+// values: a call yields its results, anything else one value.
+func (c *compiler) multi(e Expr) multi {
+	if call, ok := e.(*CallExpr); ok {
+		return c.callMany(call)
+	}
+	one := c.expr(e)
+	return func(cx *callCtx, fr []val) ([]val, error) {
+		v, err := one(cx, fr)
+		if err != nil {
+			return nil, err
+		}
+		return []val{v}, nil
+	}
+}
+
+// multis compiles an expression list whose values are appended, in order,
+// to dst.
+func (c *compiler) multis(es []Expr) func(cx *callCtx, fr []val, dst []val) ([]val, error) {
+	ms := make([]multi, len(es))
+	for i, e := range es {
+		ms[i] = c.multi(e)
+	}
+	return func(cx *callCtx, fr []val, dst []val) ([]val, error) {
+		for _, m := range ms {
+			vs, err := m(cx, fr)
+			if err != nil {
+				return nil, err
+			}
+			dst = append(dst, vs...)
+		}
+		return dst, nil
+	}
+}
+
+func (c *compiler) exprs(es []Expr) []expr {
+	out := make([]expr, len(es))
+	for i, e := range es {
+		out[i] = c.expr(e)
+	}
+	return out
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Pos is a 1-based source position.
@@ -88,179 +89,157 @@ type tok struct {
 	pos  Pos
 }
 
+// lexAll splits src into tokens.  Token texts are slices of src, and
+// columns count runes.
 func lexAll(src string) ([]tok, error) {
-	runes := []rune(src)
-	var toks []tok
+	// About one token per three bytes in typical SaC source.
+	toks := make([]tok, 0, len(src)/3+1)
 	line, col := 1, 1
 	i := 0
-	adv := func() rune {
-		r := runes[i]
-		i++
-		if r == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
+	// adv moves past n bytes.
+	adv := func(n int) {
+		for _, b := range []byte(src[i : i+n]) {
+			switch {
+			case b == '\n':
+				line++
+				col = 1
+			case b&0xC0 != 0x80: // not a UTF-8 continuation byte
+				col++
+			}
 		}
-		return r
+		i += n
 	}
-	peekAt := func(off int) rune {
-		if i+off >= len(runes) {
+	peekAt := func(off int) byte {
+		if i+off >= len(src) {
 			return 0
 		}
-		return runes[i+off]
+		return src[i+off]
 	}
 	for {
 		// skip whitespace and comments
-		for i < len(runes) {
-			r := runes[i]
-			if r == ' ' || r == '\t' || r == '\n' || r == '\r' {
-				adv()
+		for i < len(src) {
+			c := src[i]
+			if c == ' ' || c == '\t' || c == '\r' {
+				i++
+				col++
 				continue
 			}
-			if r == '/' && peekAt(1) == '/' {
-				for i < len(runes) && runes[i] != '\n' {
-					adv()
-				}
+			if c == '\n' {
+				i++
+				line++
+				col = 1
 				continue
 			}
-			if r == '/' && peekAt(1) == '*' {
-				start := Pos{line, col}
-				adv()
-				adv()
-				closed := false
-				for i < len(runes) {
-					if runes[i] == '*' && peekAt(1) == '/' {
-						adv()
-						adv()
-						closed = true
-						break
-					}
-					adv()
+			if c == '/' && peekAt(1) == '/' {
+				n := strings.IndexByte(src[i:], '\n')
+				if n < 0 {
+					n = len(src) - i
 				}
-				if !closed {
-					return nil, errf(start, "unterminated comment")
+				adv(n)
+				continue
+			}
+			if c == '/' && peekAt(1) == '*' {
+				n := strings.Index(src[i+2:], "*/")
+				if n < 0 {
+					return nil, errf(Pos{line, col}, "unterminated comment")
 				}
+				adv(n + 4)
 				continue
 			}
 			break
 		}
 		pos := Pos{line, col}
-		if i >= len(runes) {
+		if i >= len(src) {
 			toks = append(toks, tok{kind: tEOF, pos: pos})
 			return toks, nil
 		}
-		r := runes[i]
+		r := rune(src[i])
+		if r >= utf8.RuneSelf {
+			r, _ = utf8.DecodeRuneInString(src[i:])
+		}
 		switch {
 		case r == '_' || unicode.IsLetter(r):
-			var b strings.Builder
-			for i < len(runes) && (runes[i] == '_' || unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i])) {
-				b.WriteRune(adv())
+			start := i
+			for i < len(src) {
+				if c := src[i]; c < utf8.RuneSelf {
+					if c != '_' && !isDigit(c) && !('a' <= c|0x20 && c|0x20 <= 'z') {
+						break
+					}
+					i++
+					col++
+					continue
+				}
+				r, size := utf8.DecodeRuneInString(src[i:])
+				if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+					break
+				}
+				i += size
+				col++
 			}
-			toks = append(toks, tok{kind: tIdent, text: b.String(), pos: pos})
+			toks = append(toks, tok{kind: tIdent, text: src[start:i], pos: pos})
 			continue
-		case unicode.IsDigit(r):
-			var b strings.Builder
-			isDouble := false
-			for i < len(runes) && unicode.IsDigit(runes[i]) {
-				b.WriteRune(adv())
+		case isDigit(src[i]):
+			start := i
+			k := tInt
+			for i < len(src) && isDigit(src[i]) {
+				i++
 			}
-			if i < len(runes) && runes[i] == '.' && i+1 < len(runes) && unicode.IsDigit(runes[i+1]) {
-				isDouble = true
-				b.WriteRune(adv())
-				for i < len(runes) && unicode.IsDigit(runes[i]) {
-					b.WriteRune(adv())
+			if peekAt(0) == '.' && isDigit(peekAt(1)) {
+				k = tDouble
+				i++
+				for i < len(src) && isDigit(src[i]) {
+					i++
 				}
 			}
-			k := tInt
-			if isDouble {
-				k = tDouble
-			}
-			toks = append(toks, tok{kind: k, text: b.String(), pos: pos})
+			col += i - start
+			toks = append(toks, tok{kind: k, text: src[start:i], pos: pos})
 			continue
 		}
-		two := func(k kind) {
-			adv()
-			adv()
+		k, n := punct(src[i:])
+		switch {
+		case n > 0:
+			adv(n)
 			toks = append(toks, tok{kind: k, pos: pos})
-		}
-		one := func(k kind) {
-			adv()
-			toks = append(toks, tok{kind: k, pos: pos})
-		}
-		switch r {
-		case '{':
-			one(tLBrace)
-		case '}':
-			one(tRBrace)
-		case '(':
-			one(tLParen)
-		case ')':
-			one(tRParen)
-		case '[':
-			one(tLBrack)
-		case ']':
-			one(tRBrack)
-		case ',':
-			one(tComma)
-		case ';':
-			one(tSemi)
-		case ':':
-			one(tColon)
-		case '.':
-			one(tDot)
-		case '+':
-			if peekAt(1) == '+' {
-				two(tPlusPlus)
-			} else {
-				one(tPlus)
-			}
-		case '-':
-			one(tMinus)
-		case '*':
-			one(tStar)
-		case '/':
-			one(tSlash)
-		case '%':
-			one(tPercent)
-		case '=':
-			if peekAt(1) == '=' {
-				two(tEq)
-			} else {
-				one(tAssign)
-			}
-		case '!':
-			if peekAt(1) == '=' {
-				two(tNeq)
-			} else {
-				one(tNot)
-			}
-		case '<':
-			if peekAt(1) == '=' {
-				two(tLe)
-			} else {
-				one(tLt)
-			}
-		case '>':
-			if peekAt(1) == '=' {
-				two(tGe)
-			} else {
-				one(tGt)
-			}
-		case '&':
-			if peekAt(1) == '&' {
-				two(tAnd)
-			} else {
-				return nil, errf(pos, "unexpected '&'")
-			}
-		case '|':
-			if peekAt(1) == '|' {
-				two(tOr)
-			} else {
-				return nil, errf(pos, "unexpected '|'")
-			}
+		case r == '&' || r == '|':
+			return nil, errf(pos, "unexpected '%c'", r)
 		default:
 			return nil, errf(pos, "unexpected character %q", string(r))
 		}
 	}
 }
+
+// punct matches the operator or delimiter at the start of s, returning its
+// length in bytes (0 for none).
+func punct(s string) (kind, int) {
+	if len(s) > 1 {
+		switch s[:2] {
+		case "++":
+			return tPlusPlus, 2
+		case "==":
+			return tEq, 2
+		case "!=":
+			return tNeq, 2
+		case "<=":
+			return tLe, 2
+		case ">=":
+			return tGe, 2
+		case "&&":
+			return tAnd, 2
+		case "||":
+			return tOr, 2
+		}
+	}
+	if s[0] < utf8.RuneSelf && punct1[s[0]] != tEOF {
+		return punct1[s[0]], 1
+	}
+	return tEOF, 0
+}
+
+// punct1 maps the one-byte operators and delimiters to their kinds.
+var punct1 = [utf8.RuneSelf]kind{
+	'{': tLBrace, '}': tRBrace, '(': tLParen, ')': tRParen, '[': tLBrack, ']': tRBrack,
+	',': tComma, ';': tSemi, ':': tColon, '.': tDot, '=': tAssign, '+': tPlus, '-': tMinus,
+	'*': tStar, '/': tSlash, '%': tPercent, '<': tLt, '>': tGt, '!': tNot,
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }

@@ -5,251 +5,400 @@ import (
 	"repro/internal/sched"
 )
 
-// Elementwise operator evaluation with scalar broadcast, mirroring SaC's
-// overloaded arithmetic on arrays.
+// Operators, resolved to an opcode at compile time.  Scalar operands run
+// through a switch on the unboxed payloads; array operands apply the
+// elementwise kernel with SaC's scalar broadcast.
+type opcode uint8
 
-func evalUnary(p *sched.Pool, op byte, x Value, at Pos) (Value, error) {
-	switch op {
-	case '-':
-		switch x.Kind {
-		case KindInt:
-			return IntValue(array.Map(p, x.I, func(v int) int { return -v })), nil
-		case KindDouble:
-			return DoubleValue(array.Map(p, x.D, func(v float64) float64 { return -v })), nil
-		}
-		return Value{}, errf(at, "unary - needs numeric operand, got %s", x.TypeString())
-	case '!':
-		if x.Kind != KindBool {
-			return Value{}, errf(at, "! needs bool operand, got %s", x.TypeString())
-		}
-		return BoolValue(array.Map(p, x.B, func(v bool) bool { return !v })), nil
-	}
-	return Value{}, errf(at, "unknown unary operator %q", string(op))
+const (
+	opAdd opcode = iota
+	opSub
+	opMul
+	opDiv
+	opMod
+	opMin
+	opMax
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAnd
+	opOr
+)
+
+var opcodes = map[string]opcode{
+	"+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod,
+	"min": opMin, "max": opMax,
+	"==": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe,
+	"&&": opAnd, "||": opOr,
 }
 
-// broadcast pairs two arrays under SaC's scalar-broadcast rule and applies f
-// elementwise.
-func broadcast[T any, R any](p *sched.Pool, a, b *array.Array[T], f func(T, T) R, at Pos) (*array.Array[R], error) {
-	switch {
-	case sameShape(a.Shape(), b.Shape()):
-		return array.Zip(p, a, b, f), nil
-	case a.Dim() == 0:
-		av := a.ScalarValue()
-		return array.Map(p, b, func(x T) R { return f(av, x) }), nil
-	case b.Dim() == 0:
-		bv := b.ScalarValue()
-		return array.Map(p, a, func(x T) R { return f(x, bv) }), nil
+func (c *compiler) binary(e *BinExpr) expr {
+	x, y := c.expr(e.X), c.expr(e.Y)
+	op := opcodes[e.Op]
+	if op == opAnd || op == opOr {
+		// A bool scalar left operand short-circuits; the right operand is
+		// then the result as it stands.
+		stop := op == opOr
+		return func(cx *callCtx, fr []val) (val, error) {
+			xv, err := x(cx, fr)
+			if err != nil {
+				return val{}, err
+			}
+			if xv.t == vBool {
+				if xv.bval() == stop {
+					return xv, nil
+				}
+				return y(cx, fr)
+			}
+			yv, err := y(cx, fr)
+			if err != nil {
+				return val{}, err
+			}
+			return binop(cx.itp.pool, op, e.Op, xv, yv, e.At)
+		}
 	}
-	return nil, errf(at, "shape mismatch %v vs %v", a.Shape(), b.Shape())
+	return func(cx *callCtx, fr []val) (val, error) {
+		xv, err := x(cx, fr)
+		if err != nil {
+			return val{}, err
+		}
+		yv, err := y(cx, fr)
+		if err != nil {
+			return val{}, err
+		}
+		if xv.t == vInt && yv.t == vInt {
+			return intOp(op, e.Op, xv.ival(), yv.ival(), e.At)
+		}
+		return binop(cx.itp.pool, op, e.Op, xv, yv, e.At)
+	}
 }
 
-func evalBinop(p *sched.Pool, op string, x, y Value, at Pos) (Value, error) {
+// binop applies an operator to two values of any form.
+func binop(p *sched.Pool, op opcode, name string, x, y val, at Pos) (val, error) {
 	// int op double promotes the int scalar (sufficient for the paper's
 	// programs; general promotion is not part of Core SaC).
-	if x.Kind == KindInt && y.Kind == KindDouble && x.IsScalar() {
-		x = DoubleScalar(float64(x.I.ScalarValue()))
+	if x.t == vInt && y.kind() == KindDouble {
+		x = dblv(float64(x.ival()))
 	}
-	if y.Kind == KindInt && x.Kind == KindDouble && y.IsScalar() {
-		y = DoubleScalar(float64(y.I.ScalarValue()))
+	if y.t == vInt && x.kind() == KindDouble {
+		y = dblv(float64(y.ival()))
 	}
-	if x.Kind != y.Kind {
-		return Value{}, errf(at, "operator %s on mixed types %s and %s", op, x.TypeString(), y.TypeString())
+	k := x.kind()
+	if k != y.kind() {
+		return val{}, errf(at, "operator %s on mixed types %s and %s", name, x.typeString(), y.typeString())
 	}
-	switch x.Kind {
+	if x.isScalar() && y.isScalar() {
+		switch k {
+		case KindInt:
+			return intOp(op, name, x.ival(), y.ival(), at)
+		case KindBool:
+			return boolOp(op, name, x.bval(), y.bval(), at)
+		default:
+			return dblOp(op, name, x.dval(), y.dval(), at)
+		}
+	}
+	switch k {
 	case KindInt:
-		return intBinop(p, op, x, y, at)
-	case KindDouble:
-		return dblBinop(p, op, x, y, at)
+		if v, ok, err := shortIntOp(op, name, x, y, at); ok {
+			return v, err
+		}
+		xa, xs := intParts(x)
+		ya, ys := intParts(y)
+		if f := intArith(op, at); f != nil {
+			return broadcast(p, IntValue, xa, ya, xs, ys, f, at)
+		}
+		if f := intCmp(op); f != nil {
+			return broadcast(p, BoolValue, xa, ya, xs, ys, f, at)
+		}
+		return val{}, errf(at, "operator %s not defined on int", name)
 	case KindBool:
-		return boolBinop(p, op, x, y, at)
+		xa, xs := boolParts(x)
+		ya, ys := boolParts(y)
+		if f := boolFn(op); f != nil {
+			return broadcast(p, BoolValue, xa, ya, xs, ys, f, at)
+		}
+		return val{}, errf(at, "operator %s not defined on bool", name)
+	default:
+		xa, xs := dblParts(x)
+		ya, ys := dblParts(y)
+		if f := dblArith(op); f != nil {
+			return broadcast(p, DoubleValue, xa, ya, xs, ys, f, at)
+		}
+		if f := dblCmp(op); f != nil {
+			return broadcast(p, BoolValue, xa, ya, xs, ys, f, at)
+		}
+		return val{}, errf(at, "operator %s not defined on double", name)
 	}
-	return Value{}, errf(at, "operator %s unsupported", op)
 }
 
-func intBinop(p *sched.Pool, op string, x, y Value, at Pos) (Value, error) {
-	arith := map[string]func(int, int) int{
-		"+": func(a, b int) int { return a + b },
-		"-": func(a, b int) int { return a - b },
-		"*": func(a, b int) int { return a * b },
-		"min": func(a, b int) int {
-			if a < b {
-				return a
-			}
-			return b
-		},
-		"max": func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		},
-	}
-	if f, ok := arith[op]; ok {
-		out, err := broadcast(p, x.I, y.I, f, at)
-		if err != nil {
-			return Value{}, err
-		}
-		return IntValue(out), nil
-	}
+func intOp(op opcode, name string, a, b int, at Pos) (val, error) {
 	switch op {
-	case "/", "%":
-		// Guard division inside the closure via a pre-scan is racy to
-		// report; check scalar divisor upfront, else per element.
-		div := func(a, b int) int {
+	case opAdd:
+		return intv(a + b), nil
+	case opSub:
+		return intv(a - b), nil
+	case opMul:
+		return intv(a * b), nil
+	case opDiv, opMod:
+		if b == 0 {
+			return val{}, errf(at, "division by zero")
+		}
+		if op == opDiv {
+			return intv(a / b), nil
+		}
+		return intv(a % b), nil
+	case opMin:
+		return intv(min(a, b)), nil
+	case opMax:
+		return intv(max(a, b)), nil
+	case opEq:
+		return boolv(a == b), nil
+	case opNe:
+		return boolv(a != b), nil
+	case opLt:
+		return boolv(a < b), nil
+	case opLe:
+		return boolv(a <= b), nil
+	case opGt:
+		return boolv(a > b), nil
+	case opGe:
+		return boolv(a >= b), nil
+	}
+	return val{}, errf(at, "operator %s not defined on int", name)
+}
+
+// shortIntOp computes int arithmetic on short vectors, such as the index
+// and shape vectors of generator bounds and index expressions, inline
+// instead of dispatching it to the pool.  It reports false for anything
+// else: comparisons, matrices, long or unequal-length vectors.
+func shortIntOp(op opcode, name string, x, y val, at Pos) (val, bool, error) {
+	if op > opMax {
+		return val{}, false, nil
+	}
+	n := -1
+	for _, v := range [2]val{x, y} {
+		if v.isArray() {
+			sh := v.a.I.ShapeRef()
+			if len(sh) != 1 || sh[0] > maxInlineRank || (n >= 0 && sh[0] != n) {
+				return val{}, false, nil
+			}
+			n = sh[0]
+		}
+	}
+	var buf [maxInlineRank]int
+	for i := range n {
+		r, err := intOp(op, name, elem(x, i), elem(y, i), at)
+		if err != nil {
+			return val{}, true, err
+		}
+		buf[i] = r.ival()
+	}
+	return intVec(buf[:n]), true, nil
+}
+
+// elem is element i of an int vector, or the int scalar itself.
+func elem(v val, i int) int {
+	if v.isArray() {
+		return v.a.I.Data()[i]
+	}
+	return v.ival()
+}
+
+func boolOp(op opcode, name string, a, b bool, at Pos) (val, error) {
+	if f := boolFn(op); f != nil {
+		return boolv(f(a, b)), nil
+	}
+	return val{}, errf(at, "operator %s not defined on bool", name)
+}
+
+func dblOp(op opcode, name string, a, b float64, at Pos) (val, error) {
+	if f := dblArith(op); f != nil {
+		return dblv(f(a, b)), nil
+	}
+	if f := dblCmp(op); f != nil {
+		return boolv(f(a, b)), nil
+	}
+	return val{}, errf(at, "operator %s not defined on double", name)
+}
+
+// The elementwise kernels; nil where the operator is not defined on the
+// element type.
+
+func intArith(op opcode, at Pos) func(a, b int) int {
+	switch op {
+	case opAdd:
+		return func(a, b int) int { return a + b }
+	case opSub:
+		return func(a, b int) int { return a - b }
+	case opMul:
+		return func(a, b int) int { return a * b }
+	case opDiv:
+		return func(a, b int) int {
 			if b == 0 {
 				panic(errf(at, "division by zero"))
 			}
-			if op == "/" {
-				return a / b
+			return a / b
+		}
+	case opMod:
+		return func(a, b int) int {
+			if b == 0 {
+				panic(errf(at, "division by zero"))
 			}
 			return a % b
 		}
-		out, err := func() (out *array.Array[int], err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					if e, ok := r.(*Error); ok {
-						err = e
-						return
-					}
-					panic(r)
-				}
-			}()
-			return broadcast(p, x.I, y.I, div, at)
-		}()
-		if err != nil {
-			return Value{}, err
-		}
-		return IntValue(out), nil
+	case opMin:
+		return func(a, b int) int { return min(a, b) }
+	case opMax:
+		return func(a, b int) int { return max(a, b) }
 	}
-	cmp := map[string]func(int, int) bool{
-		"==": func(a, b int) bool { return a == b },
-		"!=": func(a, b int) bool { return a != b },
-		"<":  func(a, b int) bool { return a < b },
-		"<=": func(a, b int) bool { return a <= b },
-		">":  func(a, b int) bool { return a > b },
-		">=": func(a, b int) bool { return a >= b },
-	}
-	if f, ok := cmp[op]; ok {
-		out, err := broadcast(p, x.I, y.I, f, at)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolValue(out), nil
-	}
-	return Value{}, errf(at, "operator %s not defined on int", op)
+	return nil
 }
 
-func dblBinop(p *sched.Pool, op string, x, y Value, at Pos) (Value, error) {
-	arith := map[string]func(float64, float64) float64{
-		"+": func(a, b float64) float64 { return a + b },
-		"-": func(a, b float64) float64 { return a - b },
-		"*": func(a, b float64) float64 { return a * b },
-		"/": func(a, b float64) float64 { return a / b },
-		"min": func(a, b float64) float64 {
-			if a < b {
-				return a
-			}
-			return b
-		},
-		"max": func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		},
+func intCmp(op opcode) func(a, b int) bool {
+	switch op {
+	case opEq:
+		return func(a, b int) bool { return a == b }
+	case opNe:
+		return func(a, b int) bool { return a != b }
+	case opLt:
+		return func(a, b int) bool { return a < b }
+	case opLe:
+		return func(a, b int) bool { return a <= b }
+	case opGt:
+		return func(a, b int) bool { return a > b }
+	case opGe:
+		return func(a, b int) bool { return a >= b }
 	}
-	if f, ok := arith[op]; ok {
-		out, err := broadcast(p, x.D, y.D, f, at)
-		if err != nil {
-			return Value{}, err
-		}
-		return DoubleValue(out), nil
-	}
-	cmp := map[string]func(float64, float64) bool{
-		"==": func(a, b float64) bool { return a == b },
-		"!=": func(a, b float64) bool { return a != b },
-		"<":  func(a, b float64) bool { return a < b },
-		"<=": func(a, b float64) bool { return a <= b },
-		">":  func(a, b float64) bool { return a > b },
-		">=": func(a, b float64) bool { return a >= b },
-	}
-	if f, ok := cmp[op]; ok {
-		out, err := broadcast(p, x.D, y.D, f, at)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolValue(out), nil
-	}
-	return Value{}, errf(at, "operator %s not defined on double", op)
+	return nil
 }
 
-func boolBinop(p *sched.Pool, op string, x, y Value, at Pos) (Value, error) {
-	ops := map[string]func(bool, bool) bool{
-		"&&": func(a, b bool) bool { return a && b },
-		"||": func(a, b bool) bool { return a || b },
-		"==": func(a, b bool) bool { return a == b },
-		"!=": func(a, b bool) bool { return a != b },
+func dblArith(op opcode) func(a, b float64) float64 {
+	switch op {
+	case opAdd:
+		return func(a, b float64) float64 { return a + b }
+	case opSub:
+		return func(a, b float64) float64 { return a - b }
+	case opMul:
+		return func(a, b float64) float64 { return a * b }
+	case opDiv:
+		return func(a, b float64) float64 { return a / b }
+	case opMin:
+		return func(a, b float64) float64 { return min(a, b) }
+	case opMax:
+		return func(a, b float64) float64 { return max(a, b) }
 	}
-	f, ok := ops[op]
-	if !ok {
-		return Value{}, errf(at, "operator %s not defined on bool", op)
-	}
-	out, err := broadcast(p, x.B, y.B, f, at)
-	if err != nil {
-		return Value{}, err
-	}
-	return BoolValue(out), nil
+	return nil
 }
 
-// indexSelect implements array[idx_vec]: prefix selection yields subarrays,
-// full-rank selection yields scalars (§2).
-func indexSelect(x Value, iv []int, at Pos) (v Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if se, ok := r.(*array.ShapeError); ok {
-				err = errf(at, "%s", se.Error())
-				return
-			}
-			panic(r)
-		}
-	}()
-	if len(iv) > x.Dim() {
-		return Value{}, errf(at, "index %v longer than rank %d", iv, x.Dim())
+func dblCmp(op opcode) func(a, b float64) bool {
+	switch op {
+	case opEq:
+		return func(a, b float64) bool { return a == b }
+	case opNe:
+		return func(a, b float64) bool { return a != b }
+	case opLt:
+		return func(a, b float64) bool { return a < b }
+	case opLe:
+		return func(a, b float64) bool { return a <= b }
+	case opGt:
+		return func(a, b float64) bool { return a > b }
+	case opGe:
+		return func(a, b float64) bool { return a >= b }
 	}
-	switch x.Kind {
-	case KindInt:
-		return IntValue(x.I.Sel(iv...)), nil
-	case KindBool:
-		return BoolValue(x.B.Sel(iv...)), nil
+	return nil
+}
+
+func boolFn(op opcode) func(a, b bool) bool {
+	switch op {
+	case opAnd:
+		return func(a, b bool) bool { return a && b }
+	case opOr:
+		return func(a, b bool) bool { return a || b }
+	case opEq:
+		return func(a, b bool) bool { return a == b }
+	case opNe:
+		return func(a, b bool) bool { return a != b }
+	}
+	return nil
+}
+
+// intParts splits a val into its array or, for a scalar, its payload.
+func intParts(v val) (*array.Array[int], int) {
+	if v.isArray() {
+		return v.a.I, 0
+	}
+	return nil, v.ival()
+}
+
+func boolParts(v val) (*array.Array[bool], bool) {
+	if v.isArray() {
+		return v.a.B, false
+	}
+	return nil, v.bval()
+}
+
+func dblParts(v val) (*array.Array[float64], float64) {
+	if v.isArray() {
+		return v.a.D, 0
+	}
+	return nil, v.dval()
+}
+
+// broadcast applies f elementwise under SaC's scalar-broadcast rule and
+// wraps the result: a nil array stands for the scalar beside it.  At least
+// one array is non-nil.
+func broadcast[T, R any](p *sched.Pool, wrap func(*array.Array[R]) Value, xa, ya *array.Array[T], xs, ys T, f func(T, T) R, at Pos) (out val, err error) {
+	defer catch(&err, at, "")
+	var res *array.Array[R]
+	switch {
+	case xa == nil:
+		res = array.Map(p, ya, func(v T) R { return f(xs, v) })
+	case ya == nil:
+		res = array.Map(p, xa, func(v T) R { return f(v, ys) })
+	case !sameShape(xa.ShapeRef(), ya.ShapeRef()):
+		return val{}, errf(at, "shape mismatch %v vs %v", xa.Shape(), ya.Shape())
 	default:
-		return DoubleValue(x.D.Sel(iv...)), nil
+		res = array.Zip(p, xa, ya, f)
+	}
+	return fromValue(wrap(res)), nil
+}
+
+func (c *compiler) unary(e *UnaryExpr) expr {
+	x := c.expr(e.X)
+	return func(cx *callCtx, fr []val) (val, error) {
+		xv, err := x(cx, fr)
+		if err != nil {
+			return val{}, err
+		}
+		return unop(cx.itp.pool, e.Op, xv, e.At)
 	}
 }
 
-// indexUpdate implements the functional update a[iv] = v for full-rank
-// scalar writes.
-func indexUpdate(cur Value, iv []int, val Value, at Pos) (out Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if se, ok := r.(*array.ShapeError); ok {
-				err = errf(at, "%s", se.Error())
-				return
-			}
-			panic(r)
+func unop(p *sched.Pool, op byte, x val, at Pos) (val, error) {
+	switch op {
+	case '-':
+		switch {
+		case x.t == vInt:
+			return intv(-x.ival()), nil
+		case x.t == vDouble:
+			return dblv(-x.dval()), nil
+		case x.kind() == KindInt:
+			return fromValue(IntValue(array.Map(p, x.a.I, func(v int) int { return -v }))), nil
+		case x.kind() == KindDouble:
+			return fromValue(DoubleValue(array.Map(p, x.a.D, func(v float64) float64 { return -v }))), nil
 		}
-	}()
-	if len(iv) != cur.Dim() {
-		return Value{}, errf(at, "indexed assignment needs a full index (rank %d, index %v)", cur.Dim(), iv)
+		return val{}, errf(at, "unary - needs numeric operand, got %s", x.typeString())
+	case '!':
+		switch {
+		case x.t == vBool:
+			return boolv(!x.bval()), nil
+		case x.kind() == KindBool:
+			return fromValue(BoolValue(array.Map(p, x.a.B, func(v bool) bool { return !v }))), nil
+		}
+		return val{}, errf(at, "! needs bool operand, got %s", x.typeString())
 	}
-	if cur.Kind != val.Kind || !val.IsScalar() {
-		return Value{}, errf(at, "indexed assignment needs a %s scalar, got %s", cur.Kind, val.TypeString())
-	}
-	switch cur.Kind {
-	case KindInt:
-		return IntValue(cur.I.WithAt(val.I.ScalarValue(), iv...)), nil
-	case KindBool:
-		return BoolValue(cur.B.WithAt(val.B.ScalarValue(), iv...)), nil
-	default:
-		return DoubleValue(cur.D.WithAt(val.D.ScalarValue(), iv...)), nil
-	}
+	return val{}, errf(at, "unknown unary operator %q", string(op))
 }

@@ -1,6 +1,9 @@
 package sacvm
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // Parse parses a SaC module (a sequence of function definitions).
 func Parse(src string) (*Program, error) {
@@ -36,6 +39,49 @@ func MustParse(src string) *Program {
 type parser struct {
 	toks []tok
 	i    int
+	// Lists under construction, innermost last: each finished list is
+	// copied out at its exact length.
+	exprs []Expr
+	stmts []Stmt
+	// The most numerous AST nodes come from slabs.
+	vars slab[VarRef]
+	ints slab[IntLit]
+	bins slab[BinExpr]
+}
+
+// parseList parses one or more comma-separated expressions and the token
+// closing the list.
+func (p *parser) parseList(close kind) ([]Expr, error) {
+	mark := len(p.exprs)
+	defer func() { p.exprs = p.exprs[:mark] }()
+	for {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		p.exprs = append(p.exprs, e)
+		if p.accept(tComma) {
+			continue
+		}
+		if _, err := p.expect(close); err != nil {
+			return nil, err
+		}
+		return slices.Clone(p.exprs[mark:]), nil
+	}
+}
+
+// slab hands out pointers into chunked backing arrays, so many small nodes
+// cost one allocation per chunk instead of one each.
+type slab[T any] struct{ free []T }
+
+func (s *slab[T]) new(v T) *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, 32)
+	}
+	p := &s.free[0]
+	*p = v
+	s.free = s.free[1:]
+	return p
 }
 
 func (p *parser) peek() tok { return p.toks[p.i] }
@@ -181,7 +227,8 @@ func (p *parser) parseBlock() ([]Stmt, error) {
 	if _, err := p.expect(tLBrace); err != nil {
 		return nil, err
 	}
-	var stmts []Stmt
+	mark := len(p.stmts)
+	defer func() { p.stmts = p.stmts[:mark] }()
 	for !p.accept(tRBrace) {
 		if p.at(tEOF) {
 			return nil, errf(p.peek().pos, "unexpected end of input in block")
@@ -190,9 +237,12 @@ func (p *parser) parseBlock() ([]Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
-	return stmts, nil
+	if len(p.stmts) == mark {
+		return nil, nil
+	}
+	return slices.Clone(p.stmts[mark:]), nil
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
@@ -229,20 +279,11 @@ func (p *parser) parseStmt() (Stmt, error) {
 			return nil, err
 		}
 		if !p.accept(tRParen) {
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				rs.Exprs = append(rs.Exprs, e)
-				if p.accept(tComma) {
-					continue
-				}
-				if _, err := p.expect(tRParen); err != nil {
-					return nil, err
-				}
-				break
+			es, err := p.parseList(tRParen)
+			if err != nil {
+				return nil, err
 			}
+			rs.Exprs = es
 		}
 		if _, err := p.expect(tSemi); err != nil {
 			return nil, err
@@ -269,20 +310,9 @@ func (p *parser) parseStmt() (Stmt, error) {
 	if p.peekAt(1).kind == tLBrack {
 		name := p.take().text
 		p.take() // '['
-		var idx []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			idx = append(idx, e)
-			if p.accept(tComma) {
-				continue
-			}
-			if _, err := p.expect(tRBrack); err != nil {
-				return nil, err
-			}
-			break
+		idx, err := p.parseList(tRBrack)
+		if err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(tAssign); err != nil {
 			return nil, err
@@ -309,19 +339,8 @@ func (p *parser) parseStmt() (Stmt, error) {
 	if _, err := p.expect(tAssign); err != nil {
 		return nil, err
 	}
-	var exprs []Expr
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		exprs = append(exprs, e)
-		if p.accept(tComma) {
-			continue
-		}
-		break
-	}
-	if _, err := p.expect(tSemi); err != nil {
+	exprs, err := p.parseList(tSemi)
+	if err != nil {
 		return nil, err
 	}
 	return &AssignStmt{Targets: targets, Exprs: exprs, At: at}, nil
@@ -413,8 +432,8 @@ func (p *parser) parseSimpleAssign() (Stmt, error) {
 	}
 	if p.accept(tPlusPlus) {
 		return &AssignStmt{Targets: []string{id.text},
-			Exprs: []Expr{&BinExpr{Op: "+", X: &VarRef{Name: id.text, At: at},
-				Y: &IntLit{V: 1, At: at}, At: at}}, At: at}, nil
+			Exprs: []Expr{p.bins.new(BinExpr{Op: "+", X: p.vars.new(VarRef{Name: id.text, At: at}),
+				Y: p.ints.new(IntLit{V: 1, At: at}), At: at})}, At: at}, nil
 	}
 	if _, err := p.expect(tAssign); err != nil {
 		return nil, err
@@ -441,7 +460,7 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinExpr{Op: "||", X: x, Y: y, At: at}
+		x = p.bins.new(BinExpr{Op: "||", X: x, Y: y, At: at})
 	}
 	return x, nil
 }
@@ -457,7 +476,7 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinExpr{Op: "&&", X: x, Y: y, At: at}
+		x = p.bins.new(BinExpr{Op: "&&", X: x, Y: y, At: at})
 	}
 	return x, nil
 }
@@ -479,7 +498,7 @@ func (p *parser) parseCmp() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinExpr{Op: op, X: x, Y: y, At: at}
+		x = p.bins.new(BinExpr{Op: op, X: x, Y: y, At: at})
 	}
 }
 
@@ -508,7 +527,7 @@ func (p *parser) parseAdd() (Expr, error) {
 		if op == "++" {
 			x = &CallExpr{Name: "++", Args: []Expr{x, y}, At: at}
 		} else {
-			x = &BinExpr{Op: op, X: x, Y: y, At: at}
+			x = p.bins.new(BinExpr{Op: op, X: x, Y: y, At: at})
 		}
 	}
 }
@@ -535,7 +554,7 @@ func (p *parser) parseMul() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinExpr{Op: op, X: x, Y: y, At: at}
+		x = p.bins.new(BinExpr{Op: op, X: x, Y: y, At: at})
 	}
 }
 
@@ -566,20 +585,9 @@ func (p *parser) parsePostfix() (Expr, error) {
 	}
 	for p.at(tLBrack) {
 		at := p.take().pos
-		var idx []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			idx = append(idx, e)
-			if p.accept(tComma) {
-				continue
-			}
-			if _, err := p.expect(tRBrack); err != nil {
-				return nil, err
-			}
-			break
+		idx, err := p.parseList(tRBrack)
+		if err != nil {
+			return nil, err
 		}
 		x = &IndexExpr{X: x, Idx: idx, At: at}
 	}
@@ -591,7 +599,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch {
 	case p.at(tInt):
 		n, _ := strconv.Atoi(p.take().text)
-		return &IntLit{V: n, At: at}, nil
+		return p.ints.new(IntLit{V: n, At: at}), nil
 	case p.at(tDouble):
 		f, _ := strconv.ParseFloat(p.take().text, 64)
 		return &DoubleLit{V: f, At: at}, nil
@@ -609,24 +617,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 			p.take()
 			var args []Expr
 			if !p.accept(tRParen) {
-				for {
-					e, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, e)
-					if p.accept(tComma) {
-						continue
-					}
-					if _, err := p.expect(tRParen); err != nil {
-						return nil, err
-					}
-					break
+				var err error
+				if args, err = p.parseList(tRParen); err != nil {
+					return nil, err
 				}
 			}
 			return &CallExpr{Name: name, Args: args, At: at}, nil
 		}
-		return &VarRef{Name: name, At: at}, nil
+		return p.vars.new(VarRef{Name: name, At: at}), nil
 	case p.at(tLParen):
 		p.take()
 		e, err := p.parseExpr()
@@ -643,20 +641,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if p.accept(tRBrack) {
 			return lit, nil
 		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			lit.Elems = append(lit.Elems, e)
-			if p.accept(tComma) {
-				continue
-			}
-			if _, err := p.expect(tRBrack); err != nil {
-				return nil, err
-			}
-			return lit, nil
+		elems, err := p.parseList(tRBrack)
+		if err != nil {
+			return nil, err
 		}
+		lit.Elems = elems
+		return lit, nil
 	}
 	return nil, errf(at, "expected expression, found %v", p.peek().kind)
 }

@@ -1,202 +1,271 @@
 package sacvm
 
 import (
+	"sync"
+
 	"repro/internal/array"
 )
 
-// genBounds is one generator with evaluated bounds.
-type genBounds struct {
-	lo, hi []int
-	incLo  bool
-	incHi  bool
-	spec   *GenSpec
+// withLoop is a compiled with-loop.
+type withLoop struct {
+	wl       *WithLoop
+	gens     []generator
+	a1, a2   expr
+	intFold  func(int, int) int
+	boolFold func(bool, bool) bool
+	dblFold  func(float64, float64) float64
+	// runs pools the evaluation state of this with-loop per element kind
+	// (int, bool, double), so a warm with-loop reuses its body frames.
+	runs [3]sync.Pool
 }
 
-// evalWith evaluates a with-loop.  Generator bodies run data-parallel on
-// the interpreter's pool; each body evaluation gets a fresh child frame
-// binding the index variable, with the enclosing frame shared read-only —
-// sound because Core SaC expressions cannot assign.
-func (ctx *evalCtx) evalWith(wl *WithLoop, e *env) (Value, error) {
-	gens := make([]genBounds, len(wl.Gens))
+// generator is a compiled generator; its index variable lives in slot.
+type generator struct {
+	spec   *GenSpec
+	lo, hi expr
+	slot   int
+	body   expr
+}
+
+func (c *compiler) withLoop(wl *WithLoop) expr {
+	w := &withLoop{wl: wl, gens: make([]generator, len(wl.Gens))}
 	for i := range wl.Gens {
 		g := &wl.Gens[i]
-		lo, err := ctx.evalBoundVector(g.Lower, e)
+		gen := generator{spec: g, lo: c.expr(g.Lower), hi: c.expr(g.Upper), slot: c.nslots}
+		c.nslots++
+		c.scope = append(c.scope, binding{g.Var, gen.slot})
+		c.assigns(gen.slot)
+		gen.body = c.expr(g.Body)
+		c.scope = c.scope[:len(c.scope)-1]
+		w.gens[i] = gen
+	}
+	w.a1 = c.expr(wl.A1)
+	if wl.A2 != nil {
+		w.a2 = c.expr(wl.A2)
+	}
+	if wl.Kind == GenFold {
+		w.intFold, w.boolFold, w.dblFold = intFoldOp(wl.Op), boolFoldOp(wl.Op), dblFoldOp(wl.Op)
+	}
+	return w.eval
+}
+
+// bounds is one generator's evaluated index range.
+type bounds struct {
+	lo, hi []int
+}
+
+// eval runs the with-loop.  Generator bodies run data-parallel on the
+// interpreter's pool.  Each scheduled chunk runs its body on a private copy
+// of the enclosing frame (see withRun); the enclosing frame is only read,
+// which is sound because Core SaC expressions cannot assign.
+func (w *withLoop) eval(cx *callCtx, fr []val) (out val, err error) {
+	wl := w.wl
+	defer catch(&err, wl.At, "")
+	var bsBuf [4]bounds
+	bs := bsBuf[:0]
+	for i := range w.gens {
+		g := &w.gens[i]
+		lo, err := boundVector(cx, fr, g.lo, g.spec.Lower.epos())
 		if err != nil {
-			return Value{}, err
+			return val{}, err
 		}
-		hi, err := ctx.evalBoundVector(g.Upper, e)
+		hi, err := boundVector(cx, fr, g.hi, g.spec.Upper.epos())
 		if err != nil {
-			return Value{}, err
+			return val{}, err
 		}
 		if len(lo) != len(hi) {
-			return Value{}, errf(g.At, "generator bounds %v and %v differ in length", lo, hi)
+			return val{}, errf(g.spec.At, "generator bounds %v and %v differ in length", lo, hi)
 		}
-		gens[i] = genBounds{lo: lo, hi: hi, incLo: g.LowerIncl, incHi: g.UpperIncl, spec: g}
+		bs = append(bs, bounds{lo, hi})
 	}
+	bcx := cx.body
+	p := cx.itp.pool
 	switch wl.Kind {
 	case GenGenarray:
-		shapeV, err := ctx.eval(wl.A1, e)
+		shapeV, err := w.a1(cx, fr)
 		if err != nil {
-			return Value{}, err
+			return val{}, err
 		}
-		shape, err := shapeV.AsIntVector(wl.A1.epos())
+		shape, err := intVector(shapeV, nil, wl.A1.epos())
 		if err != nil {
-			return Value{}, err
+			return val{}, err
 		}
-		def, err := ctx.eval(wl.A2, e)
+		def, err := w.a2(cx, fr)
 		if err != nil {
-			return Value{}, err
+			return val{}, err
 		}
-		if !def.IsScalar() {
-			return Value{}, errf(wl.A2.epos(), "genarray default must be scalar (non-scalar defaults are outside this subset)")
+		if !def.isScalar() {
+			return val{}, errf(wl.A2.epos(), "genarray default must be scalar (non-scalar defaults are outside this subset)")
 		}
-		switch def.Kind {
-		case KindInt:
-			return ctx.capture(wl, func() Value {
-				return IntValue(array.Genarray(ctx.itp.pool, shape, def.I.ScalarValue(), ctx.intGens(gens, e)...))
-			})
-		case KindBool:
-			return ctx.capture(wl, func() Value {
-				return BoolValue(array.Genarray(ctx.itp.pool, shape, def.B.ScalarValue(), ctx.boolGens(gens, e)...))
-			})
+		switch def.t {
+		case vInt:
+			r := takeRun(w, bcx, fr, bs, vInt, val.ival)
+			defer r.release()
+			return fromValue(IntValue(array.Genarray(p, shape, def.ival(), r.gens...))), nil
+		case vBool:
+			r := takeRun(w, bcx, fr, bs, vBool, val.bval)
+			defer r.release()
+			return fromValue(BoolValue(array.Genarray(p, shape, def.bval(), r.gens...))), nil
 		default:
-			return ctx.capture(wl, func() Value {
-				return DoubleValue(array.Genarray(ctx.itp.pool, shape, def.D.ScalarValue(), ctx.dblGens(gens, e)...))
-			})
+			r := takeRun(w, bcx, fr, bs, vDouble, val.dval)
+			defer r.release()
+			return fromValue(DoubleValue(array.Genarray(p, shape, def.dval(), r.gens...))), nil
 		}
 
 	case GenModarray:
-		src, err := ctx.eval(wl.A1, e)
+		src, err := w.a1(cx, fr)
 		if err != nil {
-			return Value{}, err
+			return val{}, err
 		}
-		switch src.Kind {
+		s := src.box()
+		switch s.Kind {
 		case KindInt:
-			return ctx.capture(wl, func() Value {
-				return IntValue(array.Modarray(ctx.itp.pool, src.I, ctx.intGens(gens, e)...))
-			})
+			r := takeRun(w, bcx, fr, bs, vInt, val.ival)
+			defer r.release()
+			return fromValue(IntValue(array.Modarray(p, s.I, r.gens...))), nil
 		case KindBool:
-			return ctx.capture(wl, func() Value {
-				return BoolValue(array.Modarray(ctx.itp.pool, src.B, ctx.boolGens(gens, e)...))
-			})
+			r := takeRun(w, bcx, fr, bs, vBool, val.bval)
+			defer r.release()
+			return fromValue(BoolValue(array.Modarray(p, s.B, r.gens...))), nil
 		default:
-			return ctx.capture(wl, func() Value {
-				return DoubleValue(array.Modarray(ctx.itp.pool, src.D, ctx.dblGens(gens, e)...))
-			})
+			r := takeRun(w, bcx, fr, bs, vDouble, val.dval)
+			defer r.release()
+			return fromValue(DoubleValue(array.Modarray(p, s.D, r.gens...))), nil
 		}
 
-	case GenFold:
-		neutral, err := ctx.eval(wl.A1, e)
+	default: // GenFold
+		neutral, err := w.a1(cx, fr)
 		if err != nil {
-			return Value{}, err
+			return val{}, err
 		}
-		if !neutral.IsScalar() {
-			return Value{}, errf(wl.A1.epos(), "fold neutral must be scalar")
+		if !neutral.isScalar() {
+			return val{}, errf(wl.A1.epos(), "fold neutral must be scalar")
 		}
-		switch neutral.Kind {
-		case KindInt:
-			op := intFoldOp(wl.Op)
-			if op == nil {
-				return Value{}, errf(wl.At, "fold operator %q not defined on int", wl.Op)
-			}
-			return ctx.capture(wl, func() Value {
-				return IntScalar(array.Fold(ctx.itp.pool, neutral.I.ScalarValue(), op, ctx.intGens(gens, e)...))
-			})
-		case KindBool:
-			op := boolFoldOp(wl.Op)
-			if op == nil {
-				return Value{}, errf(wl.At, "fold operator %q not defined on bool", wl.Op)
-			}
-			return ctx.capture(wl, func() Value {
-				return BoolScalar(array.Fold(ctx.itp.pool, neutral.B.ScalarValue(), op, ctx.boolGens(gens, e)...))
-			})
-		default:
-			op := dblFoldOp(wl.Op)
-			if op == nil {
-				return Value{}, errf(wl.At, "fold operator %q not defined on double", wl.Op)
-			}
-			return ctx.capture(wl, func() Value {
-				return DoubleScalar(array.Fold(ctx.itp.pool, neutral.D.ScalarValue(), op, ctx.dblGens(gens, e)...))
-			})
+		k := neutral.kind()
+		switch {
+		case k == KindInt && w.intFold != nil:
+			r := takeRun(w, bcx, fr, bs, vInt, val.ival)
+			defer r.release()
+			return intv(array.Fold(p, neutral.ival(), w.intFold, r.gens...)), nil
+		case k == KindBool && w.boolFold != nil:
+			r := takeRun(w, bcx, fr, bs, vBool, val.bval)
+			defer r.release()
+			return boolv(array.Fold(p, neutral.bval(), w.boolFold, r.gens...)), nil
+		case k == KindDouble && w.dblFold != nil:
+			r := takeRun(w, bcx, fr, bs, vDouble, val.dval)
+			defer r.release()
+			return dblv(array.Fold(p, neutral.dval(), w.dblFold, r.gens...)), nil
 		}
+		return val{}, errf(wl.At, "fold operator %q not defined on %s", wl.Op, k)
 	}
-	return Value{}, errf(wl.At, "unknown with-loop kind")
 }
 
-// capture runs an array-engine invocation, converting body panics (eval
-// errors) and shape errors back into ordinary errors at the with-loop site.
-func (ctx *evalCtx) capture(wl *WithLoop, f func() Value) (out Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(*Error); ok {
-				err = e
-				return
-			}
-			if se, ok := r.(*array.ShapeError); ok {
-				err = errf(wl.At, "%s", se.Error())
-				return
-			}
-			panic(r)
-		}
-	}()
-	return f(), nil
-}
-
-// evalBoundVector evaluates a generator bound to an index vector; scalars
-// become 1-element vectors.
-func (ctx *evalCtx) evalBoundVector(ex Expr, e *env) ([]int, error) {
-	v, err := ctx.eval(ex, e)
+// boundVector evaluates a generator bound to an index vector; a scalar
+// becomes a 1-element vector.  Array data is read in place.
+func boundVector(cx *callCtx, fr []val, e expr, at Pos) ([]int, error) {
+	v, err := e(cx, fr)
 	if err != nil {
 		return nil, err
 	}
-	return v.AsIntVector(ex.epos())
+	return intVector(v, nil, at)
 }
 
-// bodyScalar evaluates a generator body under the loop variable binding and
-// asserts the expected scalar kind, panicking with *Error on failure (the
-// array engine re-raises at the with-loop call site).
-func (ctx *evalCtx) bodyScalar(g *GenSpec, e *env, iv []int, want ValueKind) Value {
-	frame := &env{vars: map[string]Value{
-		g.Var: IntVector(append([]int(nil), iv...)...),
-	}, parent: e}
-	v, err := ctx.eval(g.Body, frame)
-	if err != nil {
-		panic(err)
-	}
-	if v.Kind != want || !v.IsScalar() {
-		panic(errf(g.Body.epos(), "with-loop body must yield a %s scalar, got %s", want, v.TypeString()))
-	}
-	return v
+// withRun is the state of one evaluation of a with-loop at element type
+// T: the generators handed to the array engine and a private body frame
+// for every chunk the engine schedules.  Runs are pooled per with-loop, so
+// a warm with-loop allocates neither generators nor frames.
+type withRun[T any] struct {
+	w    *withLoop
+	want tag // the scalar tag bodies must yield
+	get  func(val) T
+	gens []array.Gen[T]
+
+	cx *callCtx
+	fr []val // the enclosing frame, only read
+
+	mu     sync.Mutex
+	frames []*bodyFrame[T]
+	used   int // frames handed out in this evaluation
 }
 
-func (ctx *evalCtx) intGens(gens []genBounds, e *env) []array.Gen[int] {
-	out := make([]array.Gen[int], len(gens))
-	for i, g := range gens {
-		spec := g.spec
-		out[i] = array.Gen[int]{Lower: g.lo, Upper: g.hi, ExclLower: !g.incLo, IncUpper: g.incHi,
-			Body: func(iv []int) int { return ctx.bodyScalar(spec, e, iv, KindInt).I.ScalarValue() }}
-	}
-	return out
+// bodyFrame is one chunk's frame: a copy of the enclosing frame whose
+// index-variable slot holds a vector rewritten for every element.  That
+// vector is the one array the evaluator writes in place; it is private to
+// the chunk, and snet_out copies it (see callCtx.inBody).
+type bodyFrame[T any] struct {
+	fr   []val
+	ivv  val   // the index vector as a value
+	iv   []int // its data
+	gen  *generator
+	body func(iv []int) T
 }
 
-func (ctx *evalCtx) boolGens(gens []genBounds, e *env) []array.Gen[bool] {
-	out := make([]array.Gen[bool], len(gens))
-	for i, g := range gens {
-		spec := g.spec
-		out[i] = array.Gen[bool]{Lower: g.lo, Upper: g.hi, ExclLower: !g.incLo, IncUpper: g.incHi,
-			Body: func(iv []int) bool { return ctx.bodyScalar(spec, e, iv, KindBool).B.ScalarValue() }}
+// takeRun returns a run of w, from its pool if one is free, set up for one
+// evaluation.  A body failure panics with *Error, which the engine
+// re-raises at the with-loop and catch turns back into an error.
+func takeRun[T any](w *withLoop, cx *callCtx, fr []val, bs []bounds, want tag, get func(val) T) *withRun[T] {
+	r, _ := w.runs[want-vInt].Get().(*withRun[T])
+	if r == nil {
+		r = &withRun[T]{w: w, want: want, get: get, gens: make([]array.Gen[T], len(w.gens))}
+		for i := range r.gens {
+			g := &w.gens[i]
+			r.gens[i] = array.Gen[T]{ExclLower: !g.spec.LowerIncl, IncUpper: g.spec.UpperIncl,
+				Chunk: func() func(iv []int) T { return r.chunk(g, len(r.gens[i].Lower)) }}
+		}
 	}
-	return out
+	r.cx, r.fr, r.used = cx, fr, 0
+	for i, b := range bs {
+		r.gens[i].Lower, r.gens[i].Upper = b.lo, b.hi
+	}
+	return r
 }
 
-func (ctx *evalCtx) dblGens(gens []genBounds, e *env) []array.Gen[float64] {
-	out := make([]array.Gen[float64], len(gens))
-	for i, g := range gens {
-		spec := g.spec
-		out[i] = array.Gen[float64]{Lower: g.lo, Upper: g.hi, ExclLower: !g.incLo, IncUpper: g.incHi,
-			Body: func(iv []int) float64 { return ctx.bodyScalar(spec, e, iv, KindDouble).D.ScalarValue() }}
+// chunk hands out the body of one scheduled chunk of generator g.
+func (r *withRun[T]) chunk(g *generator, rank int) func(iv []int) T {
+	r.mu.Lock()
+	if r.used == len(r.frames) {
+		r.frames = append(r.frames, r.newFrame())
 	}
-	return out
+	bf := r.frames[r.used]
+	r.used++
+	r.mu.Unlock()
+	copy(bf.fr, r.fr)
+	if len(bf.iv) != rank {
+		ivArr := array.New([]int{rank}, 0)
+		bf.iv, bf.ivv = ivArr.Data(), val{t: vArray, a: IntValue(ivArr)}
+	}
+	bf.fr[g.slot], bf.gen = bf.ivv, g
+	return bf.body
+}
+
+func (r *withRun[T]) newFrame() *bodyFrame[T] {
+	bf := &bodyFrame[T]{fr: make([]val, len(r.fr))}
+	bf.body = func(iv []int) T {
+		copy(bf.iv, iv)
+		v, err := bf.gen.body(r.cx, bf.fr)
+		if err != nil {
+			panic(err)
+		}
+		if v.t != r.want {
+			panic(errf(bf.gen.spec.Body.epos(), "with-loop body must yield a %s scalar, got %s", ValueKind(r.want-vInt), v.typeString()))
+		}
+		return r.get(v)
+	}
+	return bf
+}
+
+// release returns the run to its pool once the engine has returned, when
+// no chunk is running any more.  It drops the evaluation's references so a
+// pooled run keeps no values alive.
+func (r *withRun[T]) release() {
+	for _, bf := range r.frames[:r.used] {
+		clear(bf.fr)
+	}
+	for i := range r.gens {
+		r.gens[i].Lower, r.gens[i].Upper = nil, nil
+	}
+	r.cx, r.fr = nil, nil
+	r.w.runs[r.want-vInt].Put(r)
 }
 
 func intFoldOp(op string) func(int, int) int {
@@ -206,19 +275,9 @@ func intFoldOp(op string) func(int, int) int {
 	case "*":
 		return func(a, b int) int { return a * b }
 	case "min":
-		return func(a, b int) int {
-			if a < b {
-				return a
-			}
-			return b
-		}
+		return func(a, b int) int { return min(a, b) }
 	case "max":
-		return func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		}
+		return func(a, b int) int { return max(a, b) }
 	}
 	return nil
 }
@@ -240,19 +299,9 @@ func dblFoldOp(op string) func(float64, float64) float64 {
 	case "*":
 		return func(a, b float64) float64 { return a * b }
 	case "min":
-		return func(a, b float64) float64 {
-			if a < b {
-				return a
-			}
-			return b
-		}
+		return func(a, b float64) float64 { return min(a, b) }
 	case "max":
-		return func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		}
+		return func(a, b float64) float64 { return max(a, b) }
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/snet"
 )
 
@@ -143,9 +144,16 @@ func TestSessionLifecycle(t *testing.T) {
 // accepted quickly, later sends time out on the caller's context, and no
 // accepted record is lost once the consumer resumes.
 func TestBackpressureBoundedBuffer(t *testing.T) {
+	const bufferSize = 2
+	// Capacity while the box is blocked: the input buffer plus what the
+	// box engine holds at width W = GOMAXPROCS (W invocations in flight
+	// and W-1 parked results), 5 at W=2.  Five sends more than fit.
+	w := runtime.GOMAXPROCS(0)
+	limit := bufferSize + int(core.BoxEngineHold(w))
+	sends := limit + 5
 	gate := make(chan struct{})
 	svc := New()
-	svc.Register("slow", "gated box", Options{BufferSize: 2}, gatedNet(gate), nil)
+	svc.Register("slow", "gated box", Options{BufferSize: bufferSize}, gatedNet(gate), nil)
 	sess, err := svc.Open("slow")
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +161,7 @@ func TestBackpressureBoundedBuffer(t *testing.T) {
 	defer sess.Release()
 
 	accepted, timedOut := 0, 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < sends; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		err := sess.Send(ctx, recN(i))
 		cancel()
@@ -166,10 +174,9 @@ func TestBackpressureBoundedBuffer(t *testing.T) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	// Capacity while the box is blocked: the input buffer (2) plus the
-	// record held by the box and handoff slack.  All 10 must not fit.
-	if accepted > 5 {
-		t.Fatalf("buffer cap not respected: %d of 10 sends accepted with BufferSize=2", accepted)
+	if accepted > limit {
+		t.Fatalf("buffer cap not respected: %d of %d sends accepted with BufferSize=%d at W=%d, limit %d",
+			accepted, sends, bufferSize, w, limit)
 	}
 	if timedOut == 0 {
 		t.Fatalf("expected at least one send to block on backpressure")
